@@ -13,7 +13,6 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +31,7 @@ from .errors import (
     SizeCapExceeded,
     SymmetryConditionViolated,
     ValidationError,
+    VanishingProbability,
     ZeroOffDiagonal,
 )
 
@@ -44,6 +44,7 @@ _VALIDATION_ERRORS = (ValidationError, ParseError, SchemaVersionError, Dimension
 _NUMERICAL_ERRORS = (
     DegenerateLeadingEigenvalue, NonPositiveFixedPoint, InjectivityFailure, NotInjective,
     MaxDimExceeded, SymmetryConditionViolated, ClosureTooSmall, ZeroOffDiagonal, SizeCapExceeded,
+    VanishingProbability,
 )
 
 
@@ -170,10 +171,8 @@ def cmd_run_wire(args) -> int:
         cfg = trajectory.RunConfig(point=point, program=gates.GateProgram((gates.WireStep(args.n),)),
                                    procedure=trajectory.Procedure.PROCEDURE_II,
                                    left_boundary=L, seed=args.seed)
-        engine = trajectory.TrajectoryEngine(cfg)
-        records = _parallel_map(
-            lambda t: engine.sample(np.random.default_rng((args.seed, t))),
-            args.trajectories, args.threads)
+        records = trajectory.TrajectoryEngine(cfg).sample(
+            [np.random.default_rng((args.seed, t)) for t in range(args.trajectories)])
         trajectory.write_records_jsonl(records, Path(args.out) / "trajectories.jsonl")
         rd.manifest["outputs"].append("trajectories.jsonl")
     rd.finish()
@@ -212,13 +211,11 @@ def cmd_run_measure(args) -> int:
     seg_counts, _ = measurement.filter_trajectories(
         params, phis, pops, schedule, args.trials, args.alpha, rng)
     rd = RunDir(args.out, "run measure", _params(args), args.seed, Path(args.model))
-    rows = []
-    for t in range(args.trials):
-        real, imag = tuple(seg_counts[0][t]), tuple(seg_counts[1][t])
-        interp = measurement.interpret_counts(params, args.alpha, real, imag, phis)
-        rows.append((t, args.nm, real[0], real[1], imag[0], imag[1],
-                     interp["cos_estimate"], interp["sin_estimate"], interp["phi_hat"],
-                     float(phis[interp["matched_index"]]), interp["out_of_range"]))
+    interp = measurement.interpret_counts(params, args.alpha, seg_counts[0], seg_counts[1], phis)
+    rows = [(t, args.nm, *seg_counts[0][t], *seg_counts[1][t],
+             interp["cos_estimate"][t], interp["sin_estimate"][t], interp["phi_hat"][t],
+             phis[interp["matched_index"][t]], interp["out_of_range"][t])
+            for t in range(args.trials)]
     rd.csv("measure_scatter.csv",
            ["trial", "n_m", "n0_real", "n1_real", "n0_imag", "n1_imag",
             "cos_estimate", "sin_estimate", "phi_hat_rad", "matched_eigenphase_rad",
@@ -291,11 +288,10 @@ def cmd_run_boundary(args) -> int:
     program = gates.GateProgram((
         gates.MeasureStep((0, min(2, point.d - 1)), np.pi / 4, args.nm),
     ))
-    reps = _parallel_map(
-        lambda i: trajectory.boundary_equivalence(point, program, runway_n=args.runways[i],
-                                                  trials=args.trials, left_boundary=left,
-                                                  right_boundary=right, seed=args.seed),
-        len(args.runways), args.threads)
+    reps = [trajectory.boundary_equivalence(point, program, runway_n=r, trials=args.trials,
+                                            left_boundary=left, right_boundary=right,
+                                            seed=args.seed)
+            for r in args.runways]
     rows = [(r, rep.tv_exact, rep.tv_sampled if rep.tv_sampled is not None else "")
             for r, rep in zip(args.runways, reps)]
     rd = RunDir(args.out, "run boundary", _params(args), args.seed, Path(args.model))
@@ -336,14 +332,6 @@ def cmd_run_conform(args) -> int:
     return EXIT_OK
 
 
-def _parallel_map(fn, n: int, threads: int):
-    """Index-ordered map; results do not depend on the thread count."""
-    if threads <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n)))
-
-
 # ---------------------------------------------------------------------------
 
 def build_parser() -> _Parser:
@@ -381,7 +369,6 @@ def build_parser() -> _Parser:
     def common(sp, seed=True):
         sp.add_argument("--model", required=True)
         sp.add_argument("--out", default=".")
-        sp.add_argument("--threads", type=int, default=1)
         if seed:
             sp.add_argument("--seed", type=int, default=0)
 

@@ -59,3 +59,7 @@ class ZeroOffDiagonal(SptMbqcError):
 
 class SizeCapExceeded(SptMbqcError):
     """A dense-simulation request exceeds the configured amplitude budget."""
+
+
+class VanishingProbability(SptMbqcError):
+    """Every outcome of a sampling step has zero (or non-finite) probability."""

@@ -132,21 +132,25 @@ def filter_peak_width(curve: np.ndarray, phi_grid: np.ndarray) -> float:
     return float(np.sum(above) * (phi_grid[1] - phi_grid[0]))
 
 
-def mcos_estimate(params: PairFilter, alpha: float, N0: int, N1: int) -> float:
-    """Count-based estimate of cos(phi - delta - beta) from pair-outcome frequencies."""
+def mcos_estimate(params: PairFilter, alpha: float, N0, N1):
+    """Count-based estimate of cos(phi - delta - beta) from pair-outcome frequencies.
+
+    Elementwise over count arrays; NaN where N0 + N1 == 0.
+    """
+    N0, N1 = np.asarray(N0), np.asarray(N1)
     total = N0 + N1
-    if total == 0:
-        return np.nan
     s2, c2 = np.sin(alpha) ** 2, np.cos(alpha) ** 2
     s2a = np.sin(2 * alpha)
     num = s2 * (N0 * params.nu_ii - N1 * params.nu_jj) + c2 * (N0 * params.nu_jj - N1 * params.nu_ii)
-    return float(num / (s2a * total * abs(params.nu_ji)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        est = num / (s2a * total * abs(params.nu_ji))
+    return np.where(total == 0, np.nan, est)[()]
 
 
-def wrap_angle(x: float) -> float:
-    """Wrap to (-pi, pi]."""
-    w = float((x + np.pi) % (2 * np.pi) - np.pi)
-    return np.pi if w == -np.pi else w
+def wrap_angle(x):
+    """Wrap to (-pi, pi], elementwise."""
+    w = (np.asarray(x, dtype=float) + np.pi) % (2 * np.pi) - np.pi
+    return np.where(w == -np.pi, np.pi, w)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -213,26 +217,26 @@ class MeasurementResult:
 
 
 def interpret_counts(params: PairFilter, alpha: float, counts_real, counts_imag, eigenphases) -> dict:
-    cos_est = mcos_estimate(params, alpha, *counts_real)
-    sin_est = mcos_estimate(params, alpha, *counts_imag)
-    out_of_range = bool(
-        np.isnan(cos_est) or np.isnan(sin_est)
-        or abs(cos_est) > 1 + OUT_OF_RANGE_SLACK or abs(sin_est) > 1 + OUT_OF_RANGE_SLACK
-    )
-    if np.isnan(cos_est) or np.isnan(sin_est):
-        phi_hat = np.nan
-        matched = 0
-    else:
-        phi_hat = wrap_angle(np.arctan2(sin_est, cos_est) + params.delta)
-        matched = int(np.argmin(np.abs(np.angle(np.exp(1j * (np.asarray(eigenphases) - phi_hat))))))
+    """Per-trial phase estimates from (T, 2) arrays of (N_0, N_1) pair counts.
+
+    counts_real comes from the beta = 0 sequence, counts_imag from beta = pi/2.
+    Every field of the result is an array of length T.  A sequence without
+    pair outcomes gives a NaN estimate; its trial gets a NaN phi_hat,
+    matched_index 0 and out_of_range True.
+    """
+    counts_real, counts_imag = np.asarray(counts_real), np.asarray(counts_imag)
+    cos_est = mcos_estimate(params, alpha, counts_real[:, 0], counts_real[:, 1])
+    sin_est = mcos_estimate(params, alpha, counts_imag[:, 0], counts_imag[:, 1])
+    lim = 1 + OUT_OF_RANGE_SLACK
+    undefined = np.isnan(cos_est) | np.isnan(sin_est)
+    phi_hat = wrap_angle(np.arctan2(sin_est, cos_est) + params.delta)
+    dist = np.abs(np.angle(np.exp(1j * (np.asarray(eigenphases)[None, :] - phi_hat[:, None]))))
     return {
-        "cos_estimate": float(np.clip(cos_est, -1 - OUT_OF_RANGE_SLACK, 1 + OUT_OF_RANGE_SLACK))
-        if not np.isnan(cos_est) else np.nan,
-        "sin_estimate": float(np.clip(sin_est, -1 - OUT_OF_RANGE_SLACK, 1 + OUT_OF_RANGE_SLACK))
-        if not np.isnan(sin_est) else np.nan,
+        "cos_estimate": np.clip(cos_est, -lim, lim),
+        "sin_estimate": np.clip(sin_est, -lim, lim),
         "phi_hat": phi_hat,
-        "matched_index": matched,
-        "out_of_range": out_of_range,
+        "matched_index": np.where(undefined, 0, np.argmin(dist, axis=1)),
+        "out_of_range": undefined | (np.abs(cos_est) > lim) | (np.abs(sin_est) > lim),
     }
 
 
@@ -282,7 +286,8 @@ def measure_observable(
             else:
                 rest += 1
         seg_counts.append((n0, n1))
-    interp = interpret_counts(params, alpha, seg_counts[0], seg_counts[1], eigenphases)
+    interp = {k: v[0].item() for k, v in
+              interpret_counts(params, alpha, [seg_counts[0]], [seg_counts[1]], eigenphases).items()}
     n0_tot = seg_counts[0][0] + seg_counts[1][0]
     n1_tot = seg_counts[0][1] + seg_counts[1][1]
     return MeasurementResult(
@@ -391,6 +396,8 @@ def filter_trajectories(
     seg_counts = []
     for steps, beta in schedule:
         f0, f1 = filter_values(params, alpha, beta, eigenphases)
+        # row k multiplies the populations after outcome k (2: outside the pair)
+        factors = np.stack([f0, f1, np.ones_like(f0)])
         counts = np.zeros((trials, 2), dtype=np.int64)
         for _ in range(steps):
             w0 = pops @ f0
@@ -399,12 +406,10 @@ def filter_trajectories(
             p0 = w0 / total
             p1 = w1 / total
             r = rng.random(trials)
-            take0 = r < p0
-            take1 = (~take0) & (r < p0 + p1)
-            counts[take0, 0] += 1
-            counts[take1, 1] += 1
-            pops[take0] *= f0
-            pops[take1] *= f1
+            k = np.where(r < p0, 0, np.where(r < p0 + p1, 1, 2))
+            counts[:, 0] += k == 0
+            counts[:, 1] += k == 1
+            pops *= factors[k]
             pops /= pops.sum(axis=1, keepdims=True)
         seg_counts.append(counts)
     return seg_counts, pops
@@ -440,10 +445,7 @@ def born_statistics(
         pops = np.array([max(b, 0.0) for b in born])
         schedule = [(n_m // 2, 0.0), (n_m - n_m // 2, np.pi / 2)]
         seg_counts, _ = filter_trajectories(params, eigenphases, pops, schedule, trials, alpha, rng)
-        matched = np.empty(trials, dtype=int)
-        for t in range(trials):
-            interp = interpret_counts(params, alpha, tuple(seg_counts[0][t]), tuple(seg_counts[1][t]), eigenphases)
-            matched[t] = interp["matched_index"]
+        matched = interpret_counts(params, alpha, seg_counts[0], seg_counts[1], eigenphases)["matched_index"]
     elif method == "virtual":
         if fix is None:
             fix = fixed_point(junk_channel(point))

@@ -7,7 +7,11 @@ boundary is a physical system, |R><R| propagated through a traced runway for
 standard open boundaries).  Byproducts are tracked explicitly; gate and
 measurement sites use byproduct-adapted bases, so in the corrected frame the
 per-outcome actions are record-independent and only the boundary weight feels
-the accumulated byproduct.
+the accumulated byproduct.  That weight depends on the byproduct only through
+its Z_D x Z_D label, which is what the traced-runway sampler carries.
+
+All trials of one configuration are sampled in a single pass over the sites,
+each from its own random stream.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .channel import (
     reverse_full_channel,
     reverse_junk_channel,
 )
-from .errors import DegenerateLeadingEigenvalue, ValidationError
+from .errors import DegenerateLeadingEigenvalue, ValidationError, VanishingProbability
 from .model import PhasePoint, check_byproduct_symmetry, weyl_symmetry_data
 
 
@@ -42,6 +46,14 @@ class Procedure(enum.Enum):
 class BoundaryMode(enum.Enum):
     PHI_TILDE = "phi_tilde"    # physical right-boundary system, active reversal possible
     PHI_RUNWAY = "phi_runway"  # standard <R| boundary behind a traced runway
+
+
+def _check_boundary(name: str, value) -> None:
+    if value is None:
+        return
+    arr = np.asarray(value, dtype=complex)
+    if not np.all(np.isfinite(arr)) or not np.any(arr):
+        raise ValidationError(f"{name} must be finite and nonzero")
 
 
 @dataclass(frozen=True)
@@ -61,6 +73,8 @@ class RunConfig:
             raise ValidationError("runway_n must be >= 0")
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
+        _check_boundary("left_boundary", self.left_boundary)
+        _check_boundary("right_boundary", self.right_boundary)
 
 
 @dataclass
@@ -77,7 +91,7 @@ class TrajectoryRecord:
 
 @dataclass(frozen=True)
 class _Site:
-    ops: tuple[np.ndarray, ...]   # byproduct-corrected per-outcome virtual actions
+    ops: np.ndarray               # (n_out, Db, Db) byproduct-corrected per-outcome virtual actions
     kind: str                     # "wire" | "gate" | "measure"
     adapted: bool                 # byproduct grows on the right (adapted basis) or left (wire)
     segment: int | None = None
@@ -85,9 +99,9 @@ class _Site:
     pair: tuple[int, int] | None = None
 
 
-def _wire_ops(point: PhasePoint) -> tuple[np.ndarray, ...]:
+def _wire_ops(point: PhasePoint) -> np.ndarray:
     ident = np.eye(point.D)
-    return tuple(np.kron(ident, b) for b in point.B)
+    return np.stack([np.kron(ident, b) for b in point.B])
 
 
 def expand_sites(point: PhasePoint, program: gates.GateProgram) -> tuple[list[_Site], list]:
@@ -100,7 +114,7 @@ def expand_sites(point: PhasePoint, program: gates.GateProgram) -> tuple[list[_S
             sites.extend([wire] * step.n)
         elif isinstance(step, gates.GateStep):
             wn = step.wire_n if step.wire_n is not None else default_wire_length(point)
-            ops = tuple(gates.step_virtual_ops(point, step.pair, np.arctan(step.dalpha), step.beta))
+            ops = np.stack(gates.step_virtual_ops(point, step.pair, np.arctan(step.dalpha), step.beta))
             one = [_Site(ops=ops, kind="gate", adapted=True, pair=step.pair)] + [wire] * wn
             sites.extend(one * step.repeats)
         elif isinstance(step, gates.MeasureStep):
@@ -110,7 +124,7 @@ def expand_sites(point: PhasePoint, program: gates.GateProgram) -> tuple[list[_S
             for half, (beta, n_steps) in enumerate(
                 ((0.0, step.n_m // 2), (np.pi / 2, step.n_m - step.n_m // 2))
             ):
-                ops = tuple(gates.step_virtual_ops(point, step.pair, step.alpha, beta))
+                ops = np.stack(gates.step_virtual_ops(point, step.pair, step.alpha, beta))
                 block = [_Site(ops=ops, kind="measure", adapted=True, segment=seg, half=half,
                                pair=step.pair)] + [wire] * wn
                 sites.extend(block * n_steps)
@@ -130,6 +144,22 @@ def _left_density(point: PhasePoint, left) -> np.ndarray:
     if left.ndim == 1:
         left = np.outer(left, left.conj())
     return left / np.trace(left).real
+
+
+def draw_outcomes(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """One outcome per row of probs (T, n_out) from uniform draws (T,).
+
+    Negative probabilities are clipped to zero and each row is normalized; the
+    outcome is the left insertion point of the draw in the cumulative row,
+    capped at n_out - 1.
+    """
+    probs = np.clip(probs, 0.0, None)
+    total = probs.sum(axis=1, keepdims=True)
+    if not np.all(total > 0):
+        raise VanishingProbability(
+            "every outcome of a sampled site has zero (or non-finite) probability")
+    cum = np.cumsum(probs / total, axis=1)
+    return np.minimum((cum < draws[:, None]).sum(axis=1), probs.shape[1] - 1)
 
 
 class TrajectoryEngine:
@@ -156,85 +186,104 @@ class TrajectoryEngine:
         self.weights[n] = base
         for t in range(n - 1, -1, -1):
             self.weights[t] = fbar.apply(self.weights[t + 1])
-        # per-site outcome matrices N_s with p(s) = Tr(tau N_s), precomputable
-        # when the weight has an identity logical factor (PHI_TILDE)
         self.tilde = config.boundary is BoundaryMode.PHI_TILDE
-        self.prob_mats: list[np.ndarray] | None = None
+        self.byproducts = np.stack(point.C)
         if self.tilde:
+            # per-site outcome matrices N_s with p(s) = Tr(tau N_s): the weight
+            # has an identity logical factor, so the byproduct drops out
             self.prob_mats = []
             for t, site in enumerate(self.sites):
                 w = self.weights[t + 1]
                 self.prob_mats.append(np.stack([op.conj().T @ w @ op for op in site.ops]))
+        else:
+            # the byproduct is a Weyl element V(g) up to a phase, which cancels
+            # in the weight conjugation; trials are tracked by the label g
+            labels, sym = _byproduct_labels(point)
+            self.labels = np.array(labels)                      # (d, 2)
+            ident_j = np.eye(point.Dj)
+            self.weyl_j = np.array([[np.kron(sym.V[(a, b)], ident_j) for b in range(point.D)]
+                                    for a in range(point.D)])   # (D, D, Db, Db)
         if self.segments:
             nu = nu_matrix(point, fixed_point(junk_channel(point)))
             self._interp = []
             for step in self.segments:
                 phis, _ = gates.eigenphase_groups(gates.pair_operator(point, step.pair))
                 self._interp.append((measurement.PairFilter.from_nu(nu, step.pair), step.alpha, phis))
-        self._ident_j = np.eye(point.Dj)
 
-    def sample(self, rng: np.random.Generator) -> TrajectoryRecord:
+    def _runway_probs(self, t: int, site: _Site, tau: np.ndarray, label: np.ndarray) -> np.ndarray:
+        """Outcome weights at site t, one group of trials per byproduct label."""
+        D = self.point.D
+        w = self.weights[t + 1]
+        code = label[:, 0] * D + label[:, 1]
+        probs = np.empty((len(tau), len(site.ops)))
+        for c in np.unique(code):
+            rows = np.nonzero(code == c)[0]
+            g = (label[rows[0]] + self.labels) % D                 # label after each outcome
+            m = self.weyl_j[g[:, 0], g[:, 1]] @ site.ops           # (n_out, Db, Db)
+            n_mats = m.conj().transpose(0, 2, 1) @ w @ m
+            probs[rows] = np.einsum("kab,tba->tk", n_mats, tau[rows]).real
+        return probs
+
+    def sample(self, rngs) -> list[TrajectoryRecord]:
+        """One record per generator; trial t draws its sites from rngs[t] alone.
+
+        All trials advance together site by site (sequential exact sampling of
+        the chain), so a trial's record does not depend on the batch it is in.
+        """
         config, point = self.config, self.point
-        tau = self.left.copy()
-        byprod = np.eye(point.D, dtype=complex)
-        outcomes = []
-        counts = np.zeros(point.d, dtype=np.int64)
-        seg_counts = [[[0, 0], [0, 0]] for _ in self.segments]
+        T, n = len(rngs), len(self.sites)
+        draws = np.array([rng.random(n) for rng in rngs]).reshape(T, n)
+        tau = np.broadcast_to(self.left, (T,) + self.left.shape).copy()
+        byprod = np.broadcast_to(np.eye(point.D, dtype=complex), (T, point.D, point.D)).copy()
+        label = np.zeros((T, 2), dtype=int)
+        outcomes = np.empty((T, n), dtype=int)
+        seg_counts = np.zeros((T, len(self.segments), 2, 2), dtype=int)
 
         for t, site in enumerate(self.sites):
-            n_out = len(site.ops)
-            probs = np.empty(n_out)
             if self.tilde:
-                mats = self.prob_mats[t]
-                probs = np.einsum("kab,ba->k", mats, tau).real
+                probs = np.einsum("kab,tba->tk", self.prob_mats[t], tau).real
             else:
-                w = self.weights[t + 1]
-                for s, op in enumerate(site.ops):
-                    g = byprod @ point.C[s] if site.adapted else point.C[s] @ byprod
-                    gw = np.kron(g, self._ident_j)
-                    n_mat = op.conj().T @ gw.conj().T @ w @ gw @ op
-                    probs[s] = np.einsum("ab,ba->", n_mat, tau).real
-            probs = np.clip(probs, 0.0, None)
-            probs /= probs.sum()
-            s = int(np.searchsorted(np.cumsum(probs), rng.random()))
-            s = min(s, n_out - 1)
+                probs = self._runway_probs(t, site, tau, label)
+            s = draw_outcomes(probs, draws[:, t])
             op = site.ops[s]
-            tau = op @ tau @ op.conj().T
-            tau = tau / np.trace(tau).real
-            byprod = (byprod @ point.C[s]) if site.adapted else (point.C[s] @ byprod)
-            outcomes.append(s)
-            counts[s] += 1
+            tau = op @ tau @ op.conj().transpose(0, 2, 1)
+            tau = tau / np.trace(tau, axis1=1, axis2=2).real[:, None, None]
+            c = self.byproducts[s]
+            byprod = (byprod @ c) if site.adapted else (c @ byprod)
+            if not self.tilde:
+                label = (label + self.labels[s]) % point.D
+            outcomes[:, t] = s
             if site.kind == "measure":
-                if s == site.pair[0]:
-                    seg_counts[site.segment][site.half][0] += 1
-                elif s == site.pair[1]:
-                    seg_counts[site.segment][site.half][1] += 1
+                for k in (0, 1):
+                    seg_counts[:, site.segment, site.half, k] += s == site.pair[k]
 
-        boundary_outcome = None
-        measure_counts = [(tuple(c[0]), tuple(c[1])) for c in seg_counts]
+        boundary = [None] * T
         if self.segments:
             params, alpha, phis = self._interp[-1]
-            interp = measurement.interpret_counts(params, alpha, measure_counts[-1][0],
-                                            measure_counts[-1][1], phis)
-            boundary_outcome = float(phis[interp["matched_index"]])
-
-        if config.procedure is Procedure.PROCEDURE_I:
-            g = np.kron(byprod, self._ident_j)
-            final = VirtualState(g @ tau @ g.conj().T, point.D, point.Dj)
-        else:
-            final = VirtualState(tau, point.D, point.Dj)
+            last = seg_counts[:, -1]
+            matched = measurement.interpret_counts(params, alpha, last[:, 0], last[:, 1],
+                                                   phis)["matched_index"]
+            boundary = [float(x) for x in phis[matched]]
 
         erase = config.procedure is Procedure.PROCEDURE_III
-        return TrajectoryRecord(
-            outcomes=None if erase else tuple(outcomes),
-            outcome_counts=counts,
-            byproduct=None if erase else byprod,
-            boundary_outcome=boundary_outcome,
-            procedure=config.procedure,
-            boundary=config.boundary,
-            final_state=final,
-            measure_counts=measure_counts,
-        )
+        ident_j = np.eye(point.Dj)
+        records = []
+        for i in range(T):
+            rho = tau[i]
+            if config.procedure is Procedure.PROCEDURE_I:
+                g = np.kron(byprod[i], ident_j)
+                rho = g @ rho @ g.conj().T
+            records.append(TrajectoryRecord(
+                outcomes=None if erase else tuple(outcomes[i].tolist()),
+                outcome_counts=np.bincount(outcomes[i], minlength=point.d),
+                byproduct=None if erase else byprod[i],
+                boundary_outcome=boundary[i],
+                procedure=config.procedure,
+                boundary=config.boundary,
+                final_state=VirtualState(rho, point.D, point.Dj),
+                measure_counts=[(tuple(r), tuple(im)) for r, im in seg_counts[i].tolist()],
+            ))
+        return records
 
 
 def _default_left(point: PhasePoint) -> np.ndarray:
@@ -247,7 +296,7 @@ def sample_run(config: RunConfig, rng: np.random.Generator | None = None) -> Tra
     """One sampled run; identical records under identical seeds."""
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    return TrajectoryEngine(config).sample(rng)
+    return TrajectoryEngine(config).sample([rng])[0]
 
 
 def byproduct_from_outcomes(point: PhasePoint, outcomes) -> np.ndarray:
@@ -286,15 +335,11 @@ def add_paths(config: RunConfig, exact: bool = False, max_strings: int = 1 << 16
         rho = vecs.T @ vecs.conj()
         return PathSumResult(state=VirtualState(rho / np.trace(rho).real, point.D, point.Dj),
                              n_paths=vecs.shape[0], stderr=0.0)
-    engine = TrajectoryEngine(config)
-    acc = np.zeros((point.Db, point.Db), dtype=complex)
-    acc2 = 0.0
-    for t in range(config.trials):
-        rec = engine.sample(np.random.default_rng((config.seed, t)))
-        acc += rec.final_state.rho
-        acc2 += np.linalg.norm(rec.final_state.rho) ** 2
-    mean = acc / config.trials
-    var = max(acc2 / config.trials - np.linalg.norm(mean) ** 2, 0.0)
+    records = TrajectoryEngine(config).sample(
+        [np.random.default_rng((config.seed, t)) for t in range(config.trials)])
+    rhos = np.stack([rec.final_state.rho for rec in records])
+    mean = rhos.mean(axis=0)
+    var = max(np.sum(np.abs(rhos) ** 2) / config.trials - np.linalg.norm(mean) ** 2, 0.0)
     stderr = float(np.sqrt(var / config.trials))
     return PathSumResult(state=VirtualState(mean / np.trace(mean).real, point.D, point.Dj),
                          n_paths=config.trials, stderr=stderr)
@@ -341,6 +386,8 @@ def boundary_equivalence(
     """
     if not program.steps or not isinstance(program.steps[-1], gates.MeasureStep):
         raise ValidationError("program must end in a logical measurement")
+    _check_boundary("left_boundary", left_boundary)
+    _check_boundary("right_boundary", right_boundary)
     final = program.steps[-1]
     body = gates.GateProgram(program.steps[:-1])
     labels, sym = _byproduct_labels(point)
@@ -391,13 +438,11 @@ def boundary_equivalence(
             cfg = RunConfig(point=point, program=program, procedure=Procedure.PROCEDURE_II,
                             boundary=mode, runway_n=runway_n, trials=trials, seed=seed,
                             left_boundary=left, right_boundary=right_boundary)
-            engine = TrajectoryEngine(cfg)
-            hist = np.zeros(len(phis))
-            for t in range(trials):
-                rec = engine.sample(np.random.default_rng((seed, m_idx, t)))
-                idx = int(np.argmin(np.abs(np.angle(np.exp(1j * (phis - rec.boundary_outcome))))))
-                hist[idx] += 1
-            freqs[mode] = hist / trials
+            records = TrajectoryEngine(cfg).sample(
+                [np.random.default_rng((seed, m_idx, t)) for t in range(trials)])
+            outs = np.array([rec.boundary_outcome for rec in records])
+            idx = np.argmin(np.abs(np.angle(np.exp(1j * (phis[None, :] - outs[:, None])))), axis=1)
+            freqs[mode] = np.bincount(idx, minlength=len(phis)) / trials
         tv_sampled = 0.5 * float(np.sum(np.abs(freqs[BoundaryMode.PHI_TILDE]
                                                - freqs[BoundaryMode.PHI_RUNWAY])))
 

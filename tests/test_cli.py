@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from sptmbqc import cli, model
+from sptmbqc import cli, model, trajectory
+from sptmbqc.errors import VanishingProbability
 
 
 def run(argv):
@@ -137,12 +138,27 @@ def test_run_wire_trajectory_log(tmp_path, model_file):
     assert json.loads(lines[0])["outcomes"] is not None
 
 
-def test_threads_do_not_change_output(tmp_path, model_file):
-    base = ["run", "boundary", "--model", str(model_file), "--runways", "0,10",
-            "--seed", "6"]
-    out1, out2 = tmp_path / "t1", tmp_path / "t2"
-    assert run(base + ["--out", str(out1), "--threads", "1"]) == 0
-    assert run(base + ["--out", str(out2), "--threads", "3"]) == 0
-    a = (out1 / "boundary_tv.csv").read_text()
-    b = (out2 / "boundary_tv.csv").read_text()
-    assert a == b
+def test_sampled_outputs_deterministic(tmp_path, model_file):
+    commands = {
+        "boundary": ["run", "boundary", "--model", str(model_file), "--runways", "0,10",
+                     "--trials", "8", "--nm", "4", "--seed", "6"],
+        "wire": ["run", "wire", "--model", str(model_file), "--n", "30",
+                 "--trajectories", "6", "--seed", "6"],
+    }
+    for name, argv in commands.items():
+        out1, out2 = tmp_path / f"{name}1", tmp_path / f"{name}2"
+        assert run(argv + ["--out", str(out1)]) == 0
+        assert run(argv + ["--out", str(out2)]) == 0
+        files = sorted(f.name for f in out1.iterdir())
+        assert files == sorted(f.name for f in out2.iterdir())
+        for f in files:
+            assert (out1 / f).read_bytes() == (out2 / f).read_bytes()
+
+
+def test_vanishing_probability_exit_code(tmp_path, model_file, monkeypatch):
+    def vanish(probs, draws):
+        raise VanishingProbability("every outcome has zero probability")
+
+    monkeypatch.setattr(trajectory, "draw_outcomes", vanish)
+    assert run(["run", "wire", "--model", str(model_file), "--n", "5",
+                "--trajectories", "2", "--out", str(tmp_path)]) == 3

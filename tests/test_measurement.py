@@ -142,6 +142,78 @@ def test_mcos_symmetric_counts():
     assert meas.mcos_estimate(params, np.pi / 4, 120, 120) == pytest.approx(0.0, abs=1e-14)
 
 
+def _interpret_row_reference(params, alpha, real, imag, eigenphases):
+    """Scalar interpretation of one trial's counts (the per-trial rule, kept as reference)."""
+    lim = 1 + meas.OUT_OF_RANGE_SLACK
+
+    def mcos(n0, n1):
+        if n0 + n1 == 0:
+            return np.nan
+        s2, c2, s2a = np.sin(alpha) ** 2, np.cos(alpha) ** 2, np.sin(2 * alpha)
+        num = s2 * (n0 * params.nu_ii - n1 * params.nu_jj) + c2 * (n0 * params.nu_jj - n1 * params.nu_ii)
+        return float(num / (s2a * (n0 + n1) * abs(params.nu_ji)))
+
+    c, s = mcos(*real), mcos(*imag)
+    undefined = np.isnan(c) or np.isnan(s)
+    if undefined:
+        phi, matched = np.nan, 0
+    else:
+        w = float((np.arctan2(s, c) + params.delta + np.pi) % (2 * np.pi) - np.pi)
+        phi = np.pi if w == -np.pi else w
+        matched = int(np.argmin(np.abs(np.angle(np.exp(1j * (eigenphases - phi))))))
+    clip = lambda x: x if np.isnan(x) else float(np.clip(x, -lim, lim))
+    return (clip(c), clip(s), phi, matched,
+            bool(undefined or abs(c) > lim or abs(s) > lim))
+
+
+def test_interpret_counts_matches_row_reference(perturbed_nu):
+    params = meas.PairFilter.from_nu(perturbed_nu, (0, 1))
+    eigenphases = np.array([-2.0, 0.0, 1.0, np.pi])
+    rng = np.random.default_rng(21)
+    counts = rng.integers(0, 30, size=(500, 4))
+    counts[::7, :2] = 0    # no pair outcomes in the real sequence
+    counts[::11, 2:] = 0   # ... or in the imaginary one
+    alpha = 0.6
+    got = meas.interpret_counts(params, alpha, counts[:, :2], counts[:, 2:], eigenphases)
+    for t, row in enumerate(counts):
+        ref = _interpret_row_reference(params, alpha, row[:2], row[2:], eigenphases)
+        assert repr(float(got["cos_estimate"][t])) == repr(ref[0])
+        assert repr(float(got["sin_estimate"][t])) == repr(ref[1])
+        assert repr(float(got["phi_hat"][t])) == repr(ref[2])
+        assert got["matched_index"][t] == ref[3]
+        assert got["out_of_range"][t] == ref[4]
+
+
+def test_filter_trajectories_matches_masked_reference(perturbed_nu):
+    params = meas.PairFilter.from_nu(perturbed_nu, (0, 2))
+    assert params.rest > 0
+    phis = np.array([0.0, 2.0, np.pi])
+    pops = np.array([0.5, 0.2, 0.3])
+    schedule = [(40, 0.0), (30, np.pi / 2)]
+    counts, final = meas.filter_trajectories(params, phis, pops, schedule, 300, 0.7,
+                                             np.random.default_rng(5))
+    # boolean-mask form of the same dynamics, drawing the same stream
+    rng = np.random.default_rng(5)
+    ref_pops = np.tile(pops / pops.sum(), (300, 1))
+    for (steps, beta), got in zip(schedule, counts):
+        f0, f1 = meas.filter_values(params, 0.7, beta, phis)
+        ref = np.zeros((300, 2), dtype=np.int64)
+        for _ in range(steps):
+            w0, w1 = ref_pops @ f0, ref_pops @ f1
+            total = w0 + w1 + params.rest
+            p0, p1 = w0 / total, w1 / total
+            r = rng.random(300)
+            take0 = r < p0
+            take1 = (~take0) & (r < p0 + p1)
+            ref[take0, 0] += 1
+            ref[take1, 1] += 1
+            ref_pops[take0] *= f0
+            ref_pops[take1] *= f1
+            ref_pops /= ref_pops.sum(axis=1, keepdims=True)
+        np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(final, ref_pops)
+
+
 def test_measure_observable_eigenstate(perturbed, perturbed_nu, perturbed_fix):
     phis, projs = gates.eigenphase_groups(gates.pair_operator(perturbed, (0, 1)))
     rng = np.random.default_rng(11)

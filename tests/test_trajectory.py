@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sptmbqc import channel, gates, measurement as meas, trajectory as traj
-from sptmbqc.errors import ValidationError
+from sptmbqc.errors import ValidationError, VanishingProbability
 from conftest import random_state
 
 
@@ -14,10 +14,9 @@ def test_cluster_wire_uniform_outcomes(cluster2):
     cfg = traj.RunConfig(point=cluster2, program=wire_program(5),
                          procedure=traj.Procedure.PROCEDURE_I)
     engine = traj.TrajectoryEngine(cfg)
-    counts = np.zeros(4)
     trials = 3000
-    for t in range(trials):
-        counts += engine.sample(np.random.default_rng((0, t))).outcome_counts
+    records = engine.sample([np.random.default_rng((0, t)) for t in range(trials)])
+    counts = sum(rec.outcome_counts for rec in records)
     freqs = counts / counts.sum()
     assert np.all(np.abs(freqs - 0.25) <= 3 * np.sqrt(0.25 * 0.75 / (5 * trials)))
 
@@ -46,8 +45,8 @@ def test_procedure_ii_logical_invariance(perturbed):
     cfg = traj.RunConfig(point=perturbed, program=wire_program(6),
                          procedure=traj.Procedure.PROCEDURE_II, left_boundary=np.kron(l, j))
     engine = traj.TrajectoryEngine(cfg)
-    logicals = [engine.sample(np.random.default_rng((1, t))).final_state.logical_state()
-                for t in range(10)]
+    logicals = [rec.final_state.logical_state()
+                for rec in engine.sample([np.random.default_rng((1, t)) for t in range(10)])]
     for x in logicals:
         np.testing.assert_allclose(x, logicals[0], atol=1e-12)
 
@@ -234,7 +233,7 @@ def test_jsonl_log_roundtrip(tmp_path, perturbed):
     cfg = traj.RunConfig(point=perturbed, program=wire_program(5), seed=3,
                          procedure=traj.Procedure.PROCEDURE_I)
     engine = traj.TrajectoryEngine(cfg)
-    records = [engine.sample(np.random.default_rng((3, t))) for t in range(4)]
+    records = engine.sample([np.random.default_rng((3, t)) for t in range(4)])
     path = tmp_path / "log.jsonl"
     traj.write_records_jsonl(records, path)
     import json
@@ -243,3 +242,112 @@ def test_jsonl_log_roundtrip(tmp_path, perturbed):
     first = json.loads(lines[0])
     assert first["outcomes"] == list(records[0].outcomes)
     assert first["procedure"] == "I"
+
+
+# records of the per-trial sampler this engine replaced, for the programs below
+PINNED_WIRE2 = [
+    (3, 3, 3, 0, 3, 3, 1, 0, 3, 2, 1, 2),
+    (3, 0, 1, 2, 0, 3, 2, 2, 0, 1, 2, 2),
+    (0, 3, 1, 3, 2, 2, 1, 3, 0, 3, 2, 0),
+]
+PINNED_WIRE3 = [
+    (2, 1, 0, 6, 4, 8, 7, 7, 0, 5),
+    (2, 1, 1, 4, 2, 8, 1, 0, 1, 2),
+    (8, 5, 0, 7, 6, 5, 3, 4, 7, 0),
+]
+HALF_PI = np.pi / 2
+PINNED_MEASURE = {
+    traj.BoundaryMode.PHI_TILDE: [
+        ((3, 3, 0, 0, 2, 3, 0, 1, 2, 1, 1, 1, 0, 1, 0, 1, 1, 3, 1, 3, 0, 2), HALF_PI),
+        ((3, 0, 3, 0, 3, 0, 3, 1, 2, 3, 1, 2, 1, 3, 3, 1, 3, 0, 3, 3, 3, 1), -HALF_PI),
+        ((3, 1, 3, 1, 2, 3, 3, 3, 1, 0, 1, 3, 3, 0, 1, 0, 1, 3, 1, 2, 3, 3), -HALF_PI),
+        ((3, 3, 3, 0, 2, 3, 1, 1, 3, 1, 2, 1, 3, 3, 3, 1, 2, 0, 3, 2, 3, 1), -HALF_PI),
+        ((1, 0, 0, 1, 3, 3, 0, 2, 1, 1, 1, 2, 2, 3, 0, 1, 0, 3, 1, 3, 1, 2), HALF_PI),
+    ],
+    traj.BoundaryMode.PHI_RUNWAY: [
+        ((3, 2, 0, 1, 0, 3, 0, 3, 0, 0, 2, 2, 0, 1, 1, 3, 0, 3, 1, 0, 1, 3), HALF_PI),
+        ((1, 0, 2, 3, 0, 3, 2, 1, 3, 3, 3, 1, 3, 0, 3, 3, 2, 3, 2, 3, 3, 3), -HALF_PI),
+        ((0, 3, 3, 0, 3, 3, 1, 3, 1, 1, 1, 3, 2, 3, 0, 3, 1, 3, 2, 2, 3, 0), -HALF_PI),
+        ((0, 3, 3, 1, 3, 3, 0, 2, 1, 3, 1, 0, 3, 2, 2, 3, 3, 0, 3, 0, 1, 0), -HALF_PI),
+        ((0, 3, 1, 1, 2, 2, 3, 3, 1, 3, 2, 1, 3, 2, 1, 3, 1, 3, 3, 3, 1, 3), -HALF_PI),
+    ],
+}
+PIN_RIGHT = np.array([0.6, 0.3j, -0.5, 0.2 + 0.1j])
+PIN_LEFT = np.array([0.8, 0.1j, 0.6, 0.0])
+
+
+def pinned_measure_program():
+    return gates.GateProgram((gates.GateStep((0, 1), 0.05, 0.4, wire_n=1),
+                              gates.MeasureStep((0, 3), np.pi / 4, 10, wire_n=1)))
+
+
+def sample_batch(cfg, key, trials):
+    return traj.TrajectoryEngine(cfg).sample(
+        [np.random.default_rng(key + (t,)) for t in range(trials)])
+
+
+def test_pinned_wire_records(perturbed, perturbed3):
+    for point, n, key, pinned in ((perturbed, 12, (21,), PINNED_WIRE2),
+                                  (perturbed3, 10, (22,), PINNED_WIRE3)):
+        records = sample_batch(traj.RunConfig(point=point, program=wire_program(n)), key, 3)
+        assert [rec.outcomes for rec in records] == pinned
+        assert all(rec.boundary_outcome is None for rec in records)
+
+
+@pytest.mark.parametrize("mode", list(traj.BoundaryMode))
+def test_pinned_measure_records(perturbed, mode):
+    # no runway: the right boundary weight, and so the byproduct label, is felt most
+    cfg = traj.RunConfig(point=perturbed, program=pinned_measure_program(), boundary=mode,
+                         right_boundary=PIN_RIGHT, left_boundary=PIN_LEFT)
+    key = (23, list(traj.BoundaryMode).index(mode))
+    records = sample_batch(cfg, key, 5)
+    assert [(rec.outcomes, rec.boundary_outcome) for rec in records] == PINNED_MEASURE[mode]
+
+
+@pytest.mark.parametrize("mode", list(traj.BoundaryMode))
+@pytest.mark.parametrize("which", ["perturbed", "perturbed3"])
+def test_record_independent_of_batch(request, which, mode):
+    point = request.getfixturevalue(which)
+    rng = np.random.default_rng(31)
+    cfg = traj.RunConfig(point=point, program=pinned_measure_program(), boundary=mode,
+                         procedure=traj.Procedure.PROCEDURE_I, runway_n=3,
+                         right_boundary=random_state(point.Db, rng))
+    engine = traj.TrajectoryEngine(cfg)
+    batch = engine.sample([np.random.default_rng((4, t)) for t in range(6)])
+    for t, rec in enumerate(batch):
+        alone = engine.sample([np.random.default_rng((4, t))])[0]
+        assert alone.outcomes == rec.outcomes
+        assert alone.boundary_outcome == rec.boundary_outcome
+        assert alone.measure_counts == rec.measure_counts
+        np.testing.assert_array_equal(alone.byproduct, rec.byproduct)
+        np.testing.assert_array_equal(alone.final_state.rho, rec.final_state.rho)
+
+
+def test_draw_outcomes_rule():
+    rng = np.random.default_rng(12)
+    probs = rng.random((200, 5)) - 0.1
+    draws = rng.random(200)
+    got = traj.draw_outcomes(probs, draws)
+    for p, r, s in zip(probs, draws, got):
+        p = np.clip(p, 0.0, None)
+        p = p / p.sum()
+        assert s == min(int(np.searchsorted(np.cumsum(p), r)), len(p) - 1)
+
+
+@pytest.mark.parametrize("row", [[0.0, 0.0, 0.0], [-0.2, 0.0, -1e-17], [np.nan, 0.5, 0.5]])
+def test_draw_outcomes_rejects_vanishing_row(row):
+    probs = np.array([[0.3, 0.3, 0.4], row])
+    with pytest.raises(VanishingProbability):
+        traj.draw_outcomes(probs, np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("field", ["left_boundary", "right_boundary"])
+@pytest.mark.parametrize("value", [np.zeros(4), np.array([1.0, np.nan, 0.0, 0.0]),
+                                   np.array([np.inf, 0.0, 0.0, 0.0])])
+def test_run_config_rejects_degenerate_boundary(perturbed, field, value):
+    with pytest.raises(ValidationError):
+        traj.RunConfig(point=perturbed, program=wire_program(2),
+                       boundary=traj.BoundaryMode.PHI_RUNWAY, **{field: value})
+    with pytest.raises(ValidationError):
+        traj.boundary_equivalence(perturbed, pinned_measure_program(), runway_n=2,
+                                  trials=2, **{field: value})
