@@ -6,7 +6,8 @@ superoperator of rho -> sum_k K_k rho K_k^dag is sum_k kron(K_k, conj(K_k)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -15,7 +16,7 @@ from .errors import (
     NonPositiveFixedPoint,
     ValidationError,
 )
-from .model import PhasePoint
+from .model import PhasePoint, encode_matrix
 
 DEGENERACY_TOL = 1e-12
 NU_TOL = 1e-10
@@ -85,9 +86,8 @@ class ChannelSpectrum:
     correlation_length: float
 
 
-def spectrum(ch: Channel, degeneracy_tol: float = DEGENERACY_TOL) -> ChannelSpectrum:
-    """Full superoperator spectrum; raises if the top eigenvalue is degenerate in magnitude."""
-    w = np.linalg.eigvals(ch.superop)
+def _spectrum_of(w: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL) -> ChannelSpectrum:
+    """Sort eigenvalues by decreasing magnitude; raise if the top one is degenerate in magnitude."""
     w = w[np.argsort(-np.abs(w))]
     if abs(w[0]) < degeneracy_tol:
         raise DegenerateLeadingEigenvalue("channel has no nonzero eigenvalue")
@@ -101,14 +101,14 @@ def spectrum(ch: Channel, degeneracy_tol: float = DEGENERACY_TOL) -> ChannelSpec
     return ChannelSpectrum(eigenvalues=w, correlation_length=float(xi))
 
 
-def correlation_length(point: PhasePoint) -> float:
-    return spectrum(junk_channel(point)).correlation_length
+def spectrum(ch: Channel, degeneracy_tol: float = DEGENERACY_TOL) -> ChannelSpectrum:
+    """Full superoperator spectrum; raises if the top eigenvalue is degenerate in magnitude."""
+    return _spectrum_of(np.linalg.eigvals(ch.superop), degeneracy_tol)
 
 
 def default_wire_length(point: PhasePoint) -> int:
     """Wire length after which the junk system is taken to be at its fixed point."""
-    xi = correlation_length(point)
-    return max(WIRE_FLOOR, int(np.ceil(WIRE_XI_FACTOR * xi)))
+    return analyze(point).wire_length
 
 
 def _hermitian_from_eigvec(v: np.ndarray) -> np.ndarray:
@@ -136,9 +136,8 @@ def fixed_point(ch: Channel, tol: float = 1e-12) -> FixedPoint:
     Hermitian fixed point of the adjoint channel scaled so Tr(ell rho) = 1, so
     that lim L^n(X) = Tr(ell X) rho.
     """
-    sp = spectrum(ch)  # raises DegenerateLeadingEigenvalue when appropriate
-    lam0 = sp.eigenvalues[0]
     w, vecs = np.linalg.eig(ch.superop)
+    lam0 = _spectrum_of(w).eigenvalues[0]  # raises DegenerateLeadingEigenvalue when appropriate
     idx = int(np.argmax(np.abs(w)))
     rho = _hermitian_from_eigvec(vecs[:, idx])
     eigs = np.linalg.eigvalsh(rho)
@@ -185,15 +184,19 @@ class NuMatrix:
         return self.nu.shape[0]
 
 
-def nu_matrix(point: PhasePoint, fix: FixedPoint | None = None) -> NuMatrix:
-    """nu_ij = <ell, B_i rho_fix B_j^dag> from the spectral fixed-point pair."""
-    if fix is None:
-        fix = fixed_point(junk_channel(point))
-    d = point.d
+def nu_matrix(analysis: Analysis | PhasePoint) -> NuMatrix:
+    """nu_ij = <ell, B_i rho_fix B_j^dag> from the spectral fixed-point pair.
+
+    A bare phase point is analyzed first.
+    """
+    if isinstance(analysis, PhasePoint):
+        return analyze(analysis).nu
+    fix, B = analysis.fix, analysis.point.B
+    d = len(B)
     nu = np.empty((d, d), dtype=complex)
     for i in range(d):
         for j in range(d):
-            nu[i, j] = np.trace(fix.ell @ point.B[i] @ fix.rho @ point.B[j].conj().T)
+            nu[i, j] = np.trace(fix.ell @ B[i] @ fix.rho @ B[j].conj().T)
     herm_dev = np.linalg.norm(nu - nu.conj().T)
     trace_dev = abs(np.trace(nu) - 1.0)
     min_eig = float(np.linalg.eigvalsh((nu + nu.conj().T) / 2)[0])
@@ -205,20 +208,75 @@ def nu_matrix(point: PhasePoint, fix: FixedPoint | None = None) -> NuMatrix:
     return NuMatrix(nu=nu, delta=delta)
 
 
-def nu_iteration_deviation(point: PhasePoint, nu: NuMatrix, fix: FixedPoint | None = None, n: int | None = None) -> float:
+@dataclass(frozen=True, eq=False)
+class Analysis:
+    """Everything the gates, measurements and wires of one phase point depend on.
+
+    Each quantity is computed on first use and kept, so a command pays only
+    for (and fails only on) the quantities it reads.
+    """
+
+    point: PhasePoint
+    _powers: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def junk(self) -> Channel:
+        return junk_channel(self.point)
+
+    @cached_property
+    def xi(self) -> float:
+        """Correlation length of the junk channel."""
+        return spectrum(self.junk).correlation_length
+
+    @cached_property
+    def fix(self) -> FixedPoint:
+        return fixed_point(self.junk)
+
+    @cached_property
+    def nu(self) -> NuMatrix:
+        return nu_matrix(self)
+
+    @cached_property
+    def wire_length(self) -> int:
+        """Wire length after which the junk system is taken to be at its fixed point."""
+        return max(WIRE_FLOOR, int(np.ceil(WIRE_XI_FACTOR * self.xi)))
+
+    def junk_power(self, n: int) -> np.ndarray:
+        """Superoperator of L^n on the junk space, cached per n."""
+        if n not in self._powers:
+            self._powers[n] = np.linalg.matrix_power(self.junk.superop, n)
+        return self._powers[n]
+
+    def wire(self, x: np.ndarray, n: int) -> np.ndarray:
+        """I (x) L^n applied to bond-space operators x of shape (..., Db, Db); no renormalization.
+
+        The map acts on the junk factor only: x is regrouped into logical
+        blocks of junk operators, each of which L^n maps.
+        """
+        x = np.asarray(x, dtype=complex)
+        D, Dj = self.point.D, self.point.Dj
+        lead = x.shape[:-2]
+        blocks = x.reshape(lead + (D, Dj, D, Dj)).swapaxes(-3, -2).reshape(lead + (D * D, Dj * Dj))
+        blocks = blocks @ self.junk_power(n).T
+        return blocks.reshape(lead + (D, D, Dj, Dj)).swapaxes(-3, -2).reshape(x.shape)
+
+
+def analyze(point: PhasePoint) -> Analysis:
+    """Per-point analysis; nothing is computed until a field is read."""
+    return Analysis(point)
+
+
+def nu_iteration_deviation(analysis: Analysis, n: int | None = None) -> float:
     """Max entrywise norm of L^n(B_i rho_fix B_j^dag) - nu_ij rho_fix (gauge cross-check)."""
-    if fix is None:
-        fix = fixed_point(junk_channel(point))
     if n is None:
-        n = default_wire_length(point)
-    ch = junk_channel(point)
-    powered = np.linalg.matrix_power(ch.superop, n)
+        n = analysis.wire_length
+    B, rho, nu = analysis.point.B, analysis.fix.rho, analysis.nu.nu
+    powered = analysis.junk_power(n)
     worst = 0.0
-    for i in range(point.d):
-        for j in range(point.d):
-            x = point.B[i] @ fix.rho @ point.B[j].conj().T
-            iterated = unvec(powered @ vec(x))
-            worst = max(worst, float(np.max(np.abs(iterated - nu.nu[i, j] * fix.rho))))
+    for i in range(len(B)):
+        for j in range(len(B)):
+            iterated = unvec(powered @ vec(B[i] @ rho @ B[j].conj().T))
+            worst = max(worst, float(np.max(np.abs(iterated - nu[i, j] * rho))))
     return worst
 
 
@@ -271,22 +329,18 @@ class VirtualState:
         return cls(np.kron(sigma, rho_junk), sigma.shape[0], rho_junk.shape[0])
 
 
-def random_left_boundary(point: PhasePoint, rng: np.random.Generator) -> np.ndarray:
-    """Generic (entangled) pure boundary vector on the bond space."""
-    v = rng.standard_normal(point.Db) + 1j * rng.standard_normal(point.Db)
+def random_unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Random complex unit vector: n real then n imaginary standard-normal draws."""
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)
 
 
-def oblivious_wire(state: VirtualState, point: PhasePoint, n: int) -> VirtualState:
+def oblivious_wire(state: VirtualState, analysis: Analysis, n: int) -> VirtualState:
     """Apply identity (x) L^n and renormalize to unit trace (exact finite-n map)."""
     if n == 0:
         return state.normalized()
-    D, Dj = state.D, state.Dj
-    powered = np.linalg.matrix_power(junk_channel(point).superop, n)
-    blocks = state.rho.reshape(D, Dj, D, Dj).transpose(0, 2, 1, 3).reshape(D * D, Dj * Dj)
-    blocks = blocks @ powered.T
-    rho = blocks.reshape(D, D, Dj, Dj).transpose(0, 2, 1, 3).reshape(D * Dj, D * Dj)
-    return VirtualState(rho / np.trace(rho).real, D, Dj)
+    rho = analysis.wire(state.rho, n)
+    return VirtualState(rho / np.trace(rho).real, state.D, state.Dj)
 
 
 @dataclass(frozen=True)
@@ -317,12 +371,7 @@ def factorization_check(state: VirtualState) -> FactorizationResult:
     return FactorizationResult(sigma=sigma, rho_junk=rho_j, residual=residual)
 
 
-def nu_export(point: PhasePoint) -> dict:
+def nu_export(analysis: Analysis) -> dict:
     """JSON-ready {"nu": [[re, im], ...], "delta": float, "xi": float}."""
-    nu = nu_matrix(point)
-    xi = correlation_length(point)
-    return {
-        "nu": [[[float(v.real), float(v.imag)] for v in row] for row in nu.nu],
-        "delta": nu.delta,
-        "xi": xi,
-    }
+    nu = analysis.nu
+    return {"nu": encode_matrix(nu.nu), "delta": nu.delta, "xi": analysis.xi}

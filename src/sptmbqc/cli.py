@@ -156,8 +156,9 @@ def cmd_model_validate(args) -> int:
 
 def cmd_run_wire(args) -> int:
     point = model.load_model(Path(args.model))
+    analysis = channel.analyze(point)
     rng = np.random.default_rng(args.seed)
-    L = channel.random_left_boundary(point, rng)
+    L = channel.random_unit_vector(rng, point.Db)
     state = channel.VirtualState.from_boundary_vector(L, point.D, point.Dj)
     rd = RunDir(args.out, "run wire", _params(args), args.seed, Path(args.model))
     rows = []
@@ -165,10 +166,10 @@ def cmd_run_wire(args) -> int:
         fac = channel.factorization_check(state)
         rows.append((n, fac.residual))
         if n < args.n:
-            state = channel.oblivious_wire(state, point, 1)
+            state = channel.oblivious_wire(state, analysis, 1)
     rd.csv("wire_residual.csv", ["n_sites", "schmidt_residual"], rows)
     if args.trajectories > 0:
-        cfg = trajectory.RunConfig(point=point, program=gates.GateProgram((gates.WireStep(args.n),)),
+        cfg = trajectory.RunConfig(analysis=analysis, program=gates.GateProgram((gates.WireStep(args.n),)),
                                    procedure=trajectory.Procedure.PROCEDURE_II,
                                    left_boundary=L, seed=args.seed)
         records = trajectory.TrajectoryEngine(cfg).sample(
@@ -180,14 +181,13 @@ def cmd_run_wire(args) -> int:
 
 
 def cmd_run_gate(args) -> int:
-    point = model.load_model(Path(args.model))
-    fix = channel.fixed_point(channel.junk_channel(point))
-    nu = channel.nu_matrix(point, fix)
+    analysis = channel.analyze(model.load_model(Path(args.model)))
+    analysis.nu  # fail on the nu invariants before any output is written
     pair = tuple(args.pair)
     rd = RunDir(args.out, "run gate", _params(args), args.seed, Path(args.model))
     rows = []
     for n in args.n_steps:
-        fr = gates.finite_rotation(point, nu, pair, args.alpha, args.beta, n, fix=fix)
+        fr = gates.finite_rotation(analysis, pair, args.alpha, args.beta, n)
         rows.append((n, fr.distance, fr.choi_fid))
     rd.csv("gate_error.csv", ["n_steps", "superop_distance", "choi_fidelity"], rows)
     rd.json("gate_summary.json", {
@@ -200,8 +200,7 @@ def cmd_run_gate(args) -> int:
 
 def cmd_run_measure(args) -> int:
     point = model.load_model(Path(args.model))
-    fix = channel.fixed_point(channel.junk_channel(point))
-    nu = channel.nu_matrix(point, fix)
+    nu = channel.analyze(point).nu
     pair = tuple(args.pair)
     params = measurement.PairFilter.from_nu(nu, pair)
     phis, _ = gates.eigenphase_groups(gates.pair_operator(point, pair))
@@ -233,12 +232,12 @@ def cmd_run_measure(args) -> int:
 
 
 def cmd_run_nu(args) -> int:
-    point = model.load_model(Path(args.model))
+    analysis = channel.analyze(model.load_model(Path(args.model)))
     rd = RunDir(args.out, "run nu", _params(args), args.seed, Path(args.model))
-    rd.json("nu_exact.json", channel.nu_export(point))
+    rd.json("nu_exact.json", channel.nu_export(analysis))
     if not args.exact_only:
         rng = np.random.default_rng(args.seed)
-        est = measurement.estimate_nu(point, args.samples, rng)
+        est = measurement.estimate_nu(analysis, args.samples, rng)
         rd.json("nu_selftest.json", {
             "diag_estimate": list(est.diag),
             "diag_sigma": list(est.diag_sigma),
@@ -256,8 +255,8 @@ def cmd_run_nu(args) -> int:
 
 def cmd_run_born(args) -> int:
     point = model.load_model(Path(args.model))
-    fix = channel.fixed_point(channel.junk_channel(point))
-    nu = channel.nu_matrix(point, fix)
+    analysis = channel.analyze(point)
+    analysis.nu  # fail on the nu invariants before the state is checked
     pair = tuple(args.pair)
     weights = [float(x) for x in args.state.split(",")]
     phis, projectors = gates.eigenphase_groups(gates.pair_operator(point, pair))
@@ -265,7 +264,7 @@ def cmd_run_born(args) -> int:
         raise ValidationError(f"state has {len(weights)} weights, observable has {len(phis)} eigenphases")
     sigma = sum(w * (p @ p) / np.trace(p @ p).real for w, p in zip(weights, projectors))
     rng = np.random.default_rng(args.seed)
-    rep = measurement.born_statistics(sigma, point, nu, pair, args.trials, args.nm, rng, fix=fix)
+    rep = measurement.born_statistics(sigma, analysis, pair, args.trials, args.nm, rng)
     rd = RunDir(args.out, "run born", _params(args), args.seed, Path(args.model))
     rd.csv("born.csv",
            ["eigenphase_rad", "frequency", "born_probability", "binomial_sigma"],
@@ -277,18 +276,17 @@ def cmd_run_born(args) -> int:
 
 def cmd_run_boundary(args) -> int:
     point = model.load_model(Path(args.model))
-    fix = channel.fixed_point(channel.junk_channel(point))
+    analysis = channel.analyze(point)
     rng = np.random.default_rng(args.seed)
-    sig_vec = rng.standard_normal(point.D) + 1j * rng.standard_normal(point.D)
-    sig_vec /= np.linalg.norm(sig_vec)
-    left = np.kron(np.outer(sig_vec, sig_vec.conj()), fix.rho)
-    right = channel.random_left_boundary(point, rng)
+    sig_vec = channel.random_unit_vector(rng, point.D)
+    left = np.kron(np.outer(sig_vec, sig_vec.conj()), analysis.fix.rho)
+    right = channel.random_unit_vector(rng, point.Db)
     # empty body: the byproduct distribution stays trivial, so the runway decay
     # of the boundary weight is visible instead of being twirled away
     program = gates.GateProgram((
         gates.MeasureStep((0, min(2, point.d - 1)), np.pi / 4, args.nm),
     ))
-    reps = [trajectory.boundary_equivalence(point, program, runway_n=r, trials=args.trials,
+    reps = [trajectory.boundary_equivalence(analysis, program, runway_n=r, trials=args.trials,
                                             left_boundary=left, right_boundary=right,
                                             seed=args.seed)
             for r in args.runways]

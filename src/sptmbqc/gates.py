@@ -14,16 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .channel import (
-    Channel,
-    FixedPoint,
-    NuMatrix,
-    default_wire_length,
-    fixed_point,
-    junk_channel,
-    unvec,
-    vec,
-)
+from .channel import Analysis, NuMatrix, unvec, vec
 from .errors import ClosureTooSmall, MaxDimExceeded, SymmetryConditionViolated, ValidationError
 from .model import PhasePoint, check_byproduct_symmetry, weyl_symmetry_data
 
@@ -93,11 +84,11 @@ class GateProgram:
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
 
-    def site_budget(self, point: PhasePoint) -> int:
+    def site_budget(self, analysis: Analysis) -> int:
         """Number of physical sites the program consumes."""
         total = 0
         for s in self.steps:
-            wire = s.wire_n if getattr(s, "wire_n", None) is not None else default_wire_length(point)
+            wire = s.wire_n if getattr(s, "wire_n", None) is not None else analysis.wire_length
             if isinstance(s, GateStep):
                 total += s.repeats * (1 + wire)
             elif isinstance(s, (MeasureStep, InitStep)):
@@ -330,13 +321,17 @@ def step_virtual_ops(point: PhasePoint, pair: tuple[int, int], alpha: float, bet
 
 
 def wire_superop(point: PhasePoint) -> np.ndarray:
-    """Superoperator of one oblivious-wire site on the full bond space: I (x) L."""
+    """Superoperator of one oblivious-wire site on the full bond space: I (x) L.
+
+    A dense reference for `Analysis.wire`, which applies the same map on the
+    junk factor only.
+    """
     ident = np.eye(point.D)
     return sum(np.kron(np.kron(ident, b), np.kron(ident, b).conj()) for b in point.B)
 
 
 def step_virtual_superop(
-    point: PhasePoint,
+    analysis: Analysis,
     pair: tuple[int, int],
     alpha: float,
     beta: float,
@@ -344,6 +339,7 @@ def step_virtual_superop(
     paths: str = "all",
 ) -> np.ndarray:
     """Bond-space superoperator of (outcome path sum) followed by wire_n wire sites."""
+    point = analysis.point
     ops = step_virtual_ops(point, pair, alpha, beta)
     if paths == "all":
         selected = range(point.d)
@@ -352,7 +348,9 @@ def step_virtual_superop(
     else:
         raise ValueError("paths must be 'all' or 'pair'")
     v = sum(np.kron(ops[k], ops[k].conj()) for k in selected)
-    return np.linalg.matrix_power(wire_superop(point), wire_n) @ v
+    # column c of v is the vectorized image of the c-th matrix unit; wire each image
+    Db = point.Db
+    return analysis.wire(v.T.reshape(Db * Db, Db, Db), wire_n).reshape(Db * Db, Db * Db).T
 
 
 def _logical_from_virtual(S: np.ndarray, D: int, Dj: int, rho_fix: np.ndarray) -> LogicalChannel:
@@ -370,37 +368,31 @@ def _logical_from_virtual(S: np.ndarray, D: int, Dj: int, rho_fix: np.ndarray) -
 
 
 def step_channel(
-    point: PhasePoint,
-    nu: NuMatrix,
+    analysis: Analysis,
     pair: tuple[int, int],
     alpha: float,
     beta: float,
     wire_n: int | None = None,
     variant: str = "deterministic",
-    fix: FixedPoint | None = None,
 ) -> LogicalChannel:
     """Exact logical channel of one tilted-basis step on a fixed-point junk input."""
-    if fix is None:
-        fix = fixed_point(junk_channel(point))
     if wire_n is None:
-        wire_n = default_wire_length(point)
+        wire_n = analysis.wire_length
     paths = "all" if variant == "deterministic" else "pair"
-    S = step_virtual_superop(point, pair, alpha, beta, wire_n, paths)
-    return _logical_from_virtual(S, point.D, point.Dj, fix.rho)
+    S = step_virtual_superop(analysis, pair, alpha, beta, wire_n, paths)
+    return _logical_from_virtual(S, analysis.point.D, analysis.point.Dj, analysis.fix.rho)
 
 
 def rotation_step_channel(
-    point: PhasePoint,
-    nu: NuMatrix,
+    analysis: Analysis,
     step: GateStep,
     variant: str = "deterministic",
-    fix: FixedPoint | None = None,
 ) -> LogicalChannel:
     """One small-angle gate step; the basis angle is arctan(dalpha) so the
     unnormalized first-order basis vectors |i> + dalpha e^{i beta}|j> are reproduced exactly."""
     return step_channel(
-        point, nu, step.pair, np.arctan(step.dalpha), step.beta,
-        wire_n=step.wire_n, variant=variant, fix=fix,
+        analysis, step.pair, np.arctan(step.dalpha), step.beta,
+        wire_n=step.wire_n, variant=variant,
     )
 
 
@@ -423,9 +415,9 @@ def rotation_generator(nu: NuMatrix, C: np.ndarray, pair: tuple[int, int], beta:
     return h
 
 
-def rotation_target_unitary(point: PhasePoint, nu: NuMatrix, pair: tuple[int, int],
+def rotation_target_unitary(analysis: Analysis, pair: tuple[int, int],
                             alpha: float, beta: float, variant: str = "deterministic") -> np.ndarray:
-    h = rotation_generator(nu, pair_operator(point, pair), pair, beta, variant)
+    h = rotation_generator(analysis.nu, pair_operator(analysis.point, pair), pair, beta, variant)
     w, v = np.linalg.eigh(h)
     return v @ np.diag(np.exp(1j * alpha * w)) @ v.conj().T
 
@@ -439,25 +431,20 @@ class FiniteRotation:
 
 
 def finite_rotation(
-    point: PhasePoint,
-    nu: NuMatrix,
+    analysis: Analysis,
     pair: tuple[int, int],
     alpha: float,
     beta: float,
     N: int,
     wire_n: int | None = None,
     variant: str = "deterministic",
-    fix: FixedPoint | None = None,
 ) -> FiniteRotation:
     """Finite-angle rotation as N small steps of dalpha = alpha/N, with its distance to the target."""
     if N < 1:
         raise ValidationError("N must be >= 1")
-    if fix is None:
-        fix = fixed_point(junk_channel(point))
-    step = step_channel(point, nu, pair, np.arctan(alpha / N), beta, wire_n=wire_n,
-                        variant=variant, fix=fix)
+    step = step_channel(analysis, pair, np.arctan(alpha / N), beta, wire_n=wire_n, variant=variant)
     chan = step.power(N)
-    target = rotation_target_unitary(point, nu, pair, alpha, beta, variant)
+    target = rotation_target_unitary(analysis, pair, alpha, beta, variant)
     tgt_chan = unitary_channel(target)
     return FiniteRotation(
         channel=chan,
@@ -499,12 +486,12 @@ def eigenphase_groups(C: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, lis
 # ---------------------------------------------------------------------------
 # composition
 
-def nonselective_measurement_channel(point, nu, step: MeasureStep, fix=None) -> LogicalChannel:
+def nonselective_measurement_channel(analysis: Analysis, step: MeasureStep) -> LogicalChannel:
     """Path sum over all outcomes of the full accumulated weak measurement block."""
     n_real = step.n_m // 2
     n_imag = step.n_m - n_real
-    real = step_channel(point, nu, step.pair, step.alpha, 0.0, wire_n=step.wire_n, fix=fix)
-    imag = step_channel(point, nu, step.pair, step.alpha, np.pi / 2, wire_n=step.wire_n, fix=fix)
+    real = step_channel(analysis, step.pair, step.alpha, 0.0, wire_n=step.wire_n)
+    imag = step_channel(analysis, step.pair, step.alpha, np.pi / 2, wire_n=step.wire_n)
     return imag.power(n_imag).compose(real.power(n_real))
 
 
@@ -527,24 +514,23 @@ def init_channel(point: PhasePoint, step: InitStep) -> LogicalChannel:
             corr = np.eye(point.D, dtype=complex)
         else:
             # rank-one projectors for D=2: the correction swaps the two eigenstates
-            vt = _principal_vector(projectors[t])
-            vi = _principal_vector(projectors[i])
+            vt = principal_vector(projectors[t])
+            vi = principal_vector(projectors[i])
             corr = np.outer(vt, vi.conj()) + np.outer(vi, vt.conj())
         k = corr @ p
         sup += np.kron(k, k.conj())
     return LogicalChannel(sup, point.D)
 
 
-def _principal_vector(projector: np.ndarray) -> np.ndarray:
+def principal_vector(projector: np.ndarray) -> np.ndarray:
+    """Eigenvector of the largest eigenvalue of a Hermitian matrix (a projector's range, if rank one)."""
     w, v = np.linalg.eigh(projector)
     return v[:, -1]
 
 
 def compose_program(
-    point: PhasePoint,
-    nu: NuMatrix,
+    analysis: Analysis,
     program: GateProgram,
-    fix: FixedPoint | None = None,
     variant: str = "deterministic",
 ) -> LogicalChannel:
     """Sequential step channels; valid because byproducts propagate through adapted bases.
@@ -553,20 +539,19 @@ def compose_program(
     (phases times) elements of the Heisenberg-Weyl representation, which is the
     condition that makes the basis rewriting possible.
     """
+    point = analysis.point
     report = check_byproduct_symmetry(point, weyl_symmetry_data(point.D))
     if not report.passed:
         bad = [m.index for m in report.matches if m.group_element is None]
         raise SymmetryConditionViolated(f"byproduct operators {bad} are not in the projective representation")
-    if fix is None:
-        fix = fixed_point(junk_channel(point))
     total = identity_channel(point.D)
     for step in program.steps:
         if isinstance(step, GateStep):
-            ch = rotation_step_channel(point, nu, step, variant=variant, fix=fix)
+            ch = rotation_step_channel(analysis, step, variant=variant)
             if step.repeats > 1:
                 ch = ch.power(step.repeats)
         elif isinstance(step, MeasureStep):
-            ch = nonselective_measurement_channel(point, nu, step, fix=fix)
+            ch = nonselective_measurement_channel(analysis, step)
         elif isinstance(step, InitStep):
             ch = init_channel(point, step)
         elif isinstance(step, WireStep):
@@ -597,9 +582,15 @@ class PauliAxis:
     delta: float
 
 
-def available_axes(point: PhasePoint, nu: NuMatrix) -> dict[str, PauliAxis]:
-    """Best realizable Pauli rotation axis per direction, weighted by |nu_ji|."""
+def available_axes(analysis: Analysis) -> dict[str, PauliAxis]:
+    """Best realizable Pauli rotation axis per direction, weighted by |nu_ji|.
+
+    Pauli axes exist only on a qubit logical space; for D != 2 there are none.
+    """
+    point = analysis.point
     axes: dict[str, PauliAxis] = {}
+    if point.D != 2:
+        return axes
     for i in range(point.d):
         for j in range(i + 1, point.d):
             c = pair_operator(point, (i, j))
@@ -611,7 +602,7 @@ def available_axes(point: PhasePoint, nu: NuMatrix) -> dict[str, PauliAxis]:
             rest = sum(m for k, m in mags.items() if k != key)
             if mags[key] < 1 - 1e-10 or rest > 1e-10:
                 continue
-            off = pair_off_diagonal(nu, (i, j))
+            off = pair_off_diagonal(analysis.nu, (i, j))
             if abs(off) < 1e-12:
                 continue
             axis = PauliAxis(pair=(i, j), key=key, gamma=float(np.angle(coeffs[key])),
@@ -676,17 +667,17 @@ class CompiledRotation:
 
 def compile_su2(
     target: np.ndarray,
-    point: PhasePoint,
-    nu: NuMatrix,
+    analysis: Analysis,
     error_budget: float,
 ) -> CompiledRotation:
     """Euler-style decomposition of a 2x2 special unitary into realizable finite rotations."""
+    point = analysis.point
     if point.D != 2:
         raise ClosureTooSmall("compile_su2 requires a qubit logical space")
     closure = lie_closure(generator_set(point), traceless=True)
     if closure.dim < 3:
         raise ClosureTooSmall(f"realizable algebra has dimension {closure.dim} < 3")
-    axes = available_axes(point, nu)
+    axes = available_axes(analysis)
     if len(axes) < 2:
         raise ClosureTooSmall("fewer than two non-commuting Pauli axes available")
 
@@ -716,7 +707,7 @@ def compile_su2(
     steps = []
     sites = 0
     predicted_error = 0.0
-    wire = default_wire_length(point)
+    wire = analysis.wire_length
     n_rot = max(1, len([1 for _, th in rotations if abs(th) > 1e-12]))
     for ax, theta in rotations:
         theta = float(np.angle(np.exp(1j * theta)))
@@ -744,14 +735,15 @@ def controlled_byproduct(point: PhasePoint) -> np.ndarray:
     return lam
 
 
-def interaction_step(nu: NuMatrix, sigma: np.ndarray, U: np.ndarray, point: PhasePoint) -> np.ndarray:
+def interaction_step(analysis: Analysis, sigma: np.ndarray, U: np.ndarray) -> np.ndarray:
     """One gate by coupling an ancilla prepared in the state nu to the logical system.
 
     Evaluates Tr_P[ G (nu (x) sigma) G^dag ] with G = Lambda(C)^dag (U (x) I) Lambda(C).
     """
+    point = analysis.point
     lam = controlled_byproduct(point)
     g = lam.conj().T @ np.kron(U, np.eye(point.D)) @ lam
-    full = g @ np.kron(nu.nu, sigma) @ g.conj().T
+    full = g @ np.kron(analysis.nu.nu, sigma) @ g.conj().T
     return full.reshape(point.d, point.D, point.d, point.D).trace(axis1=0, axis2=2)
 
 

@@ -21,17 +21,7 @@ import numpy as np
 import scipy.optimize
 
 from . import gates
-from .channel import (
-    FixedPoint,
-    NuMatrix,
-    VirtualState,
-    default_wire_length,
-    fixed_point,
-    junk_channel,
-    nu_matrix,
-    unvec,
-    vec,
-)
+from .channel import Analysis, NuMatrix, VirtualState
 from .errors import ClosureTooSmall, ValidationError, ZeroOffDiagonal
 from .model import PhasePoint
 
@@ -61,6 +51,10 @@ class MeasurementBasis:
 
     def matrix(self, d: int) -> np.ndarray:
         return gates.basis_matrix(d, self.pair, self.alpha, self.effective_beta)
+
+    def virtual_ops(self, point: PhasePoint) -> list[np.ndarray]:
+        """Byproduct-corrected per-outcome virtual actions of one site in this basis."""
+        return gates.step_virtual_ops(point, self.pair, self.alpha, self.effective_beta)
 
 
 @dataclass(frozen=True)
@@ -156,49 +150,48 @@ def wrap_angle(x):
 # ---------------------------------------------------------------------------
 # full virtual-space weak measurement
 
-@dataclass
-class WeakStepEngine:
-    """Cached per-outcome virtual operators and wire power for repeated steps."""
-
-    point: PhasePoint
-    ops: list[np.ndarray]
-    wire_power: np.ndarray
-
-    @classmethod
-    def build(cls, point: PhasePoint, basis: MeasurementBasis, wire_n: int | None = None) -> "WeakStepEngine":
-        if wire_n is None:
-            wire_n = default_wire_length(point)
-        ops = gates.step_virtual_ops(point, basis.pair, basis.alpha, basis.effective_beta)
-        wire_power = np.linalg.matrix_power(gates.wire_superop(point), wire_n)
-        return cls(point=point, ops=ops, wire_power=wire_power)
-
-    def outcome_states(self, state: VirtualState) -> list[np.ndarray]:
-        """Unnormalized post-step virtual states, one per outcome (wire applied)."""
-        out = []
-        for op in self.ops:
-            raw = op @ state.rho @ op.conj().T
-            out.append(unvec(self.wire_power @ vec(raw)))
-        return out
+def outcome_states(state: VirtualState, analysis: Analysis, ops, wire_n: int | None = None) -> np.ndarray:
+    """Unnormalized post-step virtual states, one per outcome op, each followed by the wire."""
+    if wire_n is None:
+        wire_n = analysis.wire_length
+    raw = np.stack([op @ state.rho @ op.conj().T for op in ops])
+    return analysis.wire(raw, wire_n)
 
 
 def weak_measure_step(
     state: VirtualState,
-    point: PhasePoint,
-    nu: NuMatrix,
-    basis: MeasurementBasis,
+    analysis: Analysis,
+    ops,
     rng: np.random.Generator,
-    engine: WeakStepEngine | None = None,
+    wire_n: int | None = None,
 ) -> tuple[int, VirtualState]:
-    """Sample one weak-measurement outcome from the exact per-outcome channel traces."""
-    if engine is None:
-        engine = WeakStepEngine.build(point, basis)
-    outs = engine.outcome_states(state)
+    """Sample one weak-measurement outcome from the exact per-outcome channel traces.
+
+    `ops` are the per-outcome virtual actions of the measured basis
+    (`MeasurementBasis.virtual_ops`).
+    """
+    outs = outcome_states(state, analysis, ops, wire_n)
     probs = np.array([max(np.trace(o).real, 0.0) for o in outs])
     probs = probs / probs.sum()
     k = int(np.searchsorted(np.cumsum(probs), rng.random()))
-    k = min(k, point.d - 1)
+    k = min(k, len(ops) - 1)
     rho = outs[k] / np.trace(outs[k]).real
     return k, VirtualState(rho, state.D, state.Dj)
+
+
+def _weak_counts(virt, analysis, basis, steps, rng, wire_n):
+    """Run `steps` weak measurements in one basis: ((N_0, N_1), N_rest, final state)."""
+    ops = basis.virtual_ops(analysis.point)
+    n0 = n1 = rest = 0
+    for _ in range(steps):
+        k, virt = weak_measure_step(virt, analysis, ops, rng, wire_n)
+        if k == basis.pair[0]:
+            n0 += 1
+        elif k == basis.pair[1]:
+            n1 += 1
+        else:
+            rest += 1
+    return (n0, n1), rest, virt
 
 
 @dataclass
@@ -242,14 +235,12 @@ def interpret_counts(params: PairFilter, alpha: float, counts_real, counts_imag,
 
 def measure_observable(
     state,
-    point: PhasePoint,
-    nu: NuMatrix,
+    analysis: Analysis,
     pair: tuple[int, int],
     n_m: int,
     alpha: float,
     rng: np.random.Generator,
     wire_n: int | None = None,
-    fix: FixedPoint | None = None,
 ) -> MeasurementResult:
     """Accumulated weak measurement: n_m/2 steps at beta=0, n_m/2 at beta=pi/2.
 
@@ -258,14 +249,12 @@ def measure_observable(
     """
     if n_m < 2:
         raise ValidationError("n_m must be >= 2")
-    if fix is None:
-        fix = fixed_point(junk_channel(point))
     if isinstance(state, VirtualState):
         virt = state
     else:
-        virt = VirtualState.product(np.asarray(state, dtype=complex), fix.rho)
-    params = PairFilter.from_nu(nu, pair)
-    eigenphases, _ = gates.eigenphase_groups(gates.pair_operator(point, pair))
+        virt = VirtualState.product(np.asarray(state, dtype=complex), analysis.fix.rho)
+    params = PairFilter.from_nu(analysis.nu, pair)
+    eigenphases, _ = gates.eigenphase_groups(gates.pair_operator(analysis.point, pair))
 
     halves = [
         (BasisVariant.REAL, n_m // 2),
@@ -275,17 +264,9 @@ def measure_observable(
     rest = 0
     for variant, steps in halves:
         basis = MeasurementBasis(pair=pair, alpha=alpha, variant=variant)
-        engine = WeakStepEngine.build(point, basis, wire_n)
-        n0 = n1 = 0
-        for _ in range(steps):
-            k, virt = weak_measure_step(virt, point, nu, basis, rng, engine)
-            if k == pair[0]:
-                n0 += 1
-            elif k == pair[1]:
-                n1 += 1
-            else:
-                rest += 1
-        seg_counts.append((n0, n1))
+        counts, n_rest, virt = _weak_counts(virt, analysis, basis, steps, rng, wire_n)
+        seg_counts.append(counts)
+        rest += n_rest
     interp = {k: v[0].item() for k, v in
               interpret_counts(params, alpha, [seg_counts[0]], [seg_counts[1]], eigenphases).items()}
     n0_tot = seg_counts[0][0] + seg_counts[1][0]
@@ -303,15 +284,13 @@ def measure_observable(
 
 def measure_observable_tuned(
     state,
-    point: PhasePoint,
-    nu: NuMatrix,
+    analysis: Analysis,
     pair: tuple[int, int],
     n_m: int,
     alpha: float,
     rng: np.random.Generator,
     coarse_fraction: float = 0.1,
     wire_n: int | None = None,
-    fix: FixedPoint | None = None,
 ) -> MeasurementResult:
     """Two-phase estimator: a coarse phase estimate, then a tuned-beta sequence.
 
@@ -321,29 +300,16 @@ def measure_observable_tuned(
     is beta* + delta + arccos(m), with the arccos branch fixed by the coarse
     estimate.
     """
-    if fix is None:
-        fix = fixed_point(junk_channel(point))
     n_coarse = max(int(np.ceil(coarse_fraction * n_m)), 4)
     n_fine = n_m - n_coarse
-    coarse = measure_observable(state, point, nu, pair, n_coarse, alpha, rng,
-                                wire_n=wire_n, fix=fix)
+    coarse = measure_observable(state, analysis, pair, n_coarse, alpha, rng, wire_n=wire_n)
     if np.isnan(coarse.phi_hat) or n_fine < 1:
         return coarse
-    params = PairFilter.from_nu(nu, pair)
-    eigenphases, _ = gates.eigenphase_groups(gates.pair_operator(point, pair))
+    params = PairFilter.from_nu(analysis.nu, pair)
+    eigenphases, _ = gates.eigenphase_groups(gates.pair_operator(analysis.point, pair))
     beta_star = coarse.phi_hat - params.delta - np.pi / 2
     basis = MeasurementBasis(pair=pair, alpha=alpha, variant=BasisVariant.GENERAL, beta=beta_star)
-    engine = WeakStepEngine.build(point, basis, wire_n)
-    virt = coarse.post_state
-    n0 = n1 = rest = 0
-    for _ in range(n_fine):
-        k, virt = weak_measure_step(virt, point, nu, basis, rng, engine)
-        if k == pair[0]:
-            n0 += 1
-        elif k == pair[1]:
-            n1 += 1
-        else:
-            rest += 1
+    (n0, n1), rest, virt = _weak_counts(coarse.post_state, analysis, basis, n_fine, rng, wire_n)
     m_est = mcos_estimate(params, alpha, n0, n1)
     out_of_range = bool(np.isnan(m_est) or abs(m_est) > 1 + OUT_OF_RANGE_SLACK)
     if np.isnan(m_est):
@@ -426,32 +392,28 @@ class BornReport:
 
 def born_statistics(
     sigma: np.ndarray,
-    point: PhasePoint,
-    nu: NuMatrix,
+    analysis: Analysis,
     pair: tuple[int, int],
     trials: int,
     n_m: int,
     rng: np.random.Generator,
     alpha: float = np.pi / 4,
     method: str = "filter",
-    fix: FixedPoint | None = None,
 ) -> BornReport:
     """Empirical distribution of measurement outcomes over fresh copies of sigma."""
-    C = gates.pair_operator(point, pair)
+    C = gates.pair_operator(analysis.point, pair)
     eigenphases, projectors = gates.eigenphase_groups(C)
     born = np.array([np.trace(p @ sigma).real for p in projectors])
-    params = PairFilter.from_nu(nu, pair)
+    params = PairFilter.from_nu(analysis.nu, pair)
     if method == "filter":
         pops = np.array([max(b, 0.0) for b in born])
         schedule = [(n_m // 2, 0.0), (n_m - n_m // 2, np.pi / 2)]
         seg_counts, _ = filter_trajectories(params, eigenphases, pops, schedule, trials, alpha, rng)
         matched = interpret_counts(params, alpha, seg_counts[0], seg_counts[1], eigenphases)["matched_index"]
     elif method == "virtual":
-        if fix is None:
-            fix = fixed_point(junk_channel(point))
         matched = np.empty(trials, dtype=int)
         for t in range(trials):
-            res = measure_observable(sigma, point, nu, pair, n_m, alpha, rng, fix=fix)
+            res = measure_observable(sigma, analysis, pair, n_m, alpha, rng)
             matched[t] = res.matched_index
     else:
         raise ValueError("method must be 'filter' or 'virtual'")
@@ -475,24 +437,21 @@ class InitializationResult:
 
 def initialize(
     state,
-    point: PhasePoint,
-    nu: NuMatrix,
+    analysis: Analysis,
     pair: tuple[int, int],
     target_index: int,
     rng: np.random.Generator,
     n_m: int = 3200,
     budget: float = 5e-3,
     alpha: float = np.pi / 4,
-    fix: FixedPoint | None = None,
 ) -> InitializationResult:
     """Measure the pair observable, then rotate the obtained eigenstate onto the target."""
-    if fix is None:
-        fix = fixed_point(junk_channel(point))
+    point = analysis.point
     C = gates.pair_operator(point, pair)
     eigenphases, projectors = gates.eigenphase_groups(C)
     if target_index >= len(eigenphases):
         raise ValidationError(f"target_index {target_index} out of range")
-    result = measure_observable(state, point, nu, pair, n_m, alpha, rng, fix=fix)
+    result = measure_observable(state, analysis, pair, n_m, alpha, rng)
     sigma = result.post_state.logical_state()
     sigma = sigma / np.trace(sigma).real
     i = result.matched_index
@@ -501,20 +460,15 @@ def initialize(
     else:
         if point.D != 2:
             raise ClosureTooSmall("compiled corrections are only available for qubit logical spaces")
-        vt = _principal(projectors[target_index])
-        vi = _principal(projectors[i])
+        vt = gates.principal_vector(projectors[target_index])
+        vi = gates.principal_vector(projectors[i])
         correction = np.outer(vt, vi.conj()) + np.outer(vi, vt.conj())
-        compiled = gates.compile_su2(correction, point, nu, budget)
+        compiled = gates.compile_su2(correction, analysis, budget)
         program = compiled.program
-        sigma = gates.compose_program(point, nu, program, fix=fix).apply(sigma)
+        sigma = gates.compose_program(analysis, program).apply(sigma)
     fid = float(np.trace(projectors[target_index] @ sigma).real)
     return InitializationResult(state=sigma, measured_index=i, target_index=target_index,
                                 fidelity=fid, correction=program)
-
-
-def _principal(projector: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(projector)
-    return v[:, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -545,13 +499,12 @@ class NuEstimate:
 
 
 def estimate_nu(
-    point: PhasePoint,
+    analysis: Analysis,
     samples: int,
     rng: np.random.Generator,
     alpha_probe: float = 3.0,
     n_probe: int = 40000,
     betas=(0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4),
-    fix: FixedPoint | None = None,
 ) -> NuEstimate:
     """Self-test of the nu matrix from measurement statistics alone.
 
@@ -562,9 +515,7 @@ def estimate_nu(
     complementary observable by sin^2(2 alpha |nu_10| sin(beta + delta)).
     Born draws use the exact channel probabilities.
     """
-    if fix is None:
-        fix = fixed_point(junk_channel(point))
-    nu_true = nu_matrix(point, fix)
+    point, fix, nu_true = analysis.point, analysis.fix, analysis.nu
     d = point.d
     p_diag = np.array([np.trace(fix.ell @ b @ fix.rho @ b.conj().T).real for b in point.B])
     p_diag = np.clip(p_diag, 0, None)
@@ -575,7 +526,7 @@ def estimate_nu(
     diag_sigma = np.sqrt(np.clip(diag_est * (1 - diag_est), 0, None) / n_diag)
 
     # complementary axis: an available Pauli direction that anticommutes with pair (0,1)
-    axes = gates.available_axes(point, nu_true)
+    axes = gates.available_axes(analysis)
     c_meas = gates.pair_operator(point, (0, 1))
     probe_axis = None
     for ax in axes.values():
@@ -584,16 +535,17 @@ def estimate_nu(
             probe_axis = ax
             break
     if probe_axis is None:
-        raise ClosureTooSmall("no anticommuting probe axis available for the off-diagonal self-test")
+        raise ClosureTooSmall("no anticommuting probe axis available for the off-diagonal self-test"
+                              " (Pauli probe axes need a qubit logical space, D=2)")
     _, projectors = gates.eigenphase_groups(gates.pair_operator(point, probe_axis.pair))
-    ref = _principal(projectors[0])
+    ref = gates.principal_vector(projectors[0])
     sigma_ref = np.outer(ref, ref.conj())
 
     betas = np.asarray(betas, dtype=float)
     per_beta = max((samples - n_diag) // len(betas), 100)
     flips = np.empty(len(betas))
     for b_idx, beta in enumerate(betas):
-        fr = gates.finite_rotation(point, nu_true, (0, 1), alpha_probe, beta, n_probe, fix=fix)
+        fr = gates.finite_rotation(analysis, (0, 1), alpha_probe, beta, n_probe)
         sigma_rot = fr.channel.apply(sigma_ref)
         p_flip = float(np.clip(1.0 - np.trace(projectors[0] @ sigma_rot).real, 0, 1))
         flips[b_idx] = rng.binomial(per_beta, p_flip) / per_beta

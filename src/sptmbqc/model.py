@@ -266,7 +266,7 @@ def check_byproduct_symmetry(point: PhasePoint, sym: SymmetryData, tol: float = 
     return SymmetryReport(tuple(matches), all(m.group_element is not None for m in matches))
 
 
-def _encode_matrix(m: np.ndarray) -> list:
+def encode_matrix(m: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
@@ -284,8 +284,8 @@ def save_model(point: PhasePoint, path) -> None:
         "d": point.d,
         "D": point.D,
         "Dj": point.Dj,
-        "C": [_encode_matrix(c) for c in point.C],
-        "B": [_encode_matrix(b) for b in point.B],
+        "C": [encode_matrix(c) for c in point.C],
+        "B": [encode_matrix(b) for b in point.B],
         "kappa_norm": float(point.kappa_norm),
     }
     Path(path).write_text(json.dumps(doc))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates
-from .channel import reverse_full_channel, unvec, vec
+from .channel import Analysis, analyze, random_unit_vector, reverse_full_channel
 from .errors import SizeCapExceeded, ValidationError
 from .model import PhasePoint
 
@@ -148,12 +148,7 @@ def simulate_measurements(
     if boundary_observable is not None:
         obs = np.asarray(boundary_observable, dtype=complex)
         w, v = np.linalg.eigh(obs)
-        groups: list[list[int]] = [[0]]
-        for i in range(1, len(w)):
-            if abs(w[i] - w[groups[-1][0]]) < 1e-10:
-                groups[-1].append(i)
-            else:
-                groups.append([i])
+        groups = _eig_groups(w)
         eigvals = np.array([w[g[0]] for g in groups])
         joint = np.empty((rows.shape[0], len(groups)))
         rows6 = rows.reshape(-1, point.D, point.Dj)
@@ -236,8 +231,9 @@ def scenario_wire(point: PhasePoint, n: int, l: np.ndarray, j: np.ndarray) -> di
             "wire_marginal_formula": dev_q}
 
 
-def scenario_gate_step(point: PhasePoint, n: int, L: np.ndarray, pair, dalpha: float, beta: float) -> dict:
+def scenario_gate_step(analysis: Analysis, n: int, L: np.ndarray, pair, dalpha: float, beta: float) -> dict:
     """One tilted site + (n-1)-site wire with reversal, path-summed, both engines."""
+    point = analysis.point
     res = build_state_vector(point, n, OracleMode.PHI_TILDE, L=L)
     bases = [gates.basis_matrix(point.d, pair, np.arctan(dalpha), beta)] + [None] * (n - 1)
     rev = simulate_measurements(res, bases, reverse_byproduct=True)
@@ -248,14 +244,14 @@ def scenario_gate_step(point: PhasePoint, n: int, L: np.ndarray, pair, dalpha: f
     ops = gates.step_virtual_ops(point, pair, np.arctan(dalpha), beta)
     tau0 = np.outer(L, L.conj())
     x = sum(op @ tau0 @ op.conj().T for op in ops)
-    wire = np.linalg.matrix_power(gates.wire_superop(point), n - 1)
-    tau_chan = unvec(wire @ vec(x))
+    tau_chan = analysis.wire(x, n - 1)
     tau_chan /= np.trace(tau_chan).real
     return {"gate_step_state": float(np.max(np.abs(tau_oracle - tau_chan)))}
 
 
-def scenario_weak_step(point: PhasePoint, n: int, L: np.ndarray, pair, alpha: float, beta: float) -> dict:
+def scenario_weak_step(analysis: Analysis, n: int, L: np.ndarray, pair, alpha: float, beta: float) -> dict:
     """Per-outcome probabilities and post states of one finite-angle site, both engines."""
+    point = analysis.point
     res = build_state_vector(point, n, OracleMode.PHI_TILDE, L=L)
     bases = [gates.basis_matrix(point.d, pair, alpha, beta)] + [None] * (n - 1)
     rev = simulate_measurements(res, bases, reverse_byproduct=True)
@@ -265,12 +261,11 @@ def scenario_weak_step(point: PhasePoint, n: int, L: np.ndarray, pair, alpha: fl
 
     ops = gates.step_virtual_ops(point, pair, alpha, beta)
     tau0 = np.outer(L, L.conj())
-    wire = np.linalg.matrix_power(gates.wire_superop(point), n - 1)
+    xs = analysis.wire(np.stack([op @ tau0 @ op.conj().T for op in ops]), n - 1)
     dev_p = 0.0
     dev_state = 0.0
     p_chan = np.empty(d)
-    for k in range(d):
-        xk = unvec(wire @ vec(ops[k] @ tau0 @ ops[k].conj().T))
+    for k, xk in enumerate(xs):
         p_chan[k] = np.trace(xk).real
         tau_k = rows[k].T @ rows[k].conj()
         if np.trace(tau_k).real > 1e-14:
@@ -368,19 +363,17 @@ def conformance_suite(point: PhasePoint, n: int, rng: np.random.Generator,
 
     Statistical checks (z-scores) are reported separately from exact ones.
     """
-    Db = point.Db
-    l = rng.standard_normal(point.D) + 1j * rng.standard_normal(point.D)
-    l /= np.linalg.norm(l)
-    j = rng.standard_normal(point.Dj) + 1j * rng.standard_normal(point.Dj)
-    j /= np.linalg.norm(j)
+    l = random_unit_vector(rng, point.D)
+    j = random_unit_vector(rng, point.Dj)
     L_prod = np.kron(l, j)
-    R = rng.standard_normal(Db) + 1j * rng.standard_normal(Db)
-    R /= np.linalg.norm(R)
+    R = random_unit_vector(rng, point.Db)
 
+    # the bond-space side of the step scenarios runs the engine's own wire map
+    analysis = analyze(point)
     devs = {}
     devs.update(scenario_wire(point, n, l, j))
-    devs.update(scenario_gate_step(point, n, L_prod, (0, 1), 0.05, np.pi / 2))
-    devs.update(scenario_weak_step(point, n, L_prod, (0, 1), 0.7, 0.3))
+    devs.update(scenario_gate_step(analysis, n, L_prod, (0, 1), 0.05, np.pi / 2))
+    devs.update(scenario_weak_step(analysis, n, L_prod, (0, 1), 0.7, 0.3))
     obs = gates.pair_operator(point, (0, 1))
     obs = (obs + obs.conj().T) / 2
     devs.update(scenario_appendix_a(point, n, l, j, obs, rng, samples))

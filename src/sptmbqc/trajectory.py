@@ -25,16 +25,14 @@ import numpy as np
 
 from . import gates, measurement
 from .channel import (
+    Analysis,
     VirtualState,
-    default_wire_length,
     fixed_point,
-    junk_channel,
-    nu_matrix,
     reverse_full_channel,
     reverse_junk_channel,
 )
 from .errors import DegenerateLeadingEigenvalue, ValidationError, VanishingProbability
-from .model import PhasePoint, check_byproduct_symmetry, weyl_symmetry_data
+from .model import PhasePoint, check_byproduct_symmetry, encode_matrix, weyl_symmetry_data
 
 
 class Procedure(enum.Enum):
@@ -58,7 +56,7 @@ def _check_boundary(name: str, value) -> None:
 
 @dataclass(frozen=True)
 class RunConfig:
-    point: PhasePoint
+    analysis: Analysis
     program: gates.GateProgram
     procedure: Procedure = Procedure.PROCEDURE_II
     boundary: BoundaryMode = BoundaryMode.PHI_TILDE
@@ -104,8 +102,9 @@ def _wire_ops(point: PhasePoint) -> np.ndarray:
     return np.stack([np.kron(ident, b) for b in point.B])
 
 
-def expand_sites(point: PhasePoint, program: gates.GateProgram) -> tuple[list[_Site], list]:
+def expand_sites(analysis: Analysis, program: gates.GateProgram) -> tuple[list[_Site], list]:
     """Per-site instruction list and the measurement-segment steps."""
+    point = analysis.point
     wire = _Site(ops=_wire_ops(point), kind="wire", adapted=False)
     sites: list[_Site] = []
     segments = []
@@ -113,12 +112,12 @@ def expand_sites(point: PhasePoint, program: gates.GateProgram) -> tuple[list[_S
         if isinstance(step, gates.WireStep):
             sites.extend([wire] * step.n)
         elif isinstance(step, gates.GateStep):
-            wn = step.wire_n if step.wire_n is not None else default_wire_length(point)
+            wn = step.wire_n if step.wire_n is not None else analysis.wire_length
             ops = np.stack(gates.step_virtual_ops(point, step.pair, np.arctan(step.dalpha), step.beta))
             one = [_Site(ops=ops, kind="gate", adapted=True, pair=step.pair)] + [wire] * wn
             sites.extend(one * step.repeats)
         elif isinstance(step, gates.MeasureStep):
-            wn = step.wire_n if step.wire_n is not None else default_wire_length(point)
+            wn = step.wire_n if step.wire_n is not None else analysis.wire_length
             seg = len(segments)
             segments.append(step)
             for half, (beta, n_steps) in enumerate(
@@ -167,9 +166,9 @@ class TrajectoryEngine:
 
     def __init__(self, config: RunConfig):
         self.config = config
-        point = config.point
+        point = config.analysis.point
         self.point = point
-        self.sites, self.segments = expand_sites(point, config.program)
+        self.sites, self.segments = expand_sites(config.analysis, config.program)
         self.left = _left_density(point, config.left_boundary)
         fbar = reverse_full_channel(point)
         if config.boundary is BoundaryMode.PHI_TILDE:
@@ -204,7 +203,7 @@ class TrajectoryEngine:
             self.weyl_j = np.array([[np.kron(sym.V[(a, b)], ident_j) for b in range(point.D)]
                                     for a in range(point.D)])   # (D, D, Db, Db)
         if self.segments:
-            nu = nu_matrix(point, fixed_point(junk_channel(point)))
+            nu = config.analysis.nu
             self._interp = []
             for step in self.segments:
                 phis, _ = gates.eigenphase_groups(gates.pair_operator(point, step.pair))
@@ -320,9 +319,9 @@ def add_paths(config: RunConfig, exact: bool = False, max_strings: int = 1 << 16
     Per-trial streams are spawned from (seed, trial index), so the estimate is
     independent of execution order.
     """
-    point = config.point
+    point = config.analysis.point
     if exact:
-        sites, _ = expand_sites(point, config.program)
+        sites, _ = expand_sites(config.analysis, config.program)
         if point.d ** len(sites) > max_strings:
             raise ValidationError(f"exact enumeration over {point.d}^{len(sites)} strings exceeds the cap")
         left = config.left_boundary if config.left_boundary is not None else _default_left(point)
@@ -367,7 +366,7 @@ class BoundaryReport:
 
 
 def boundary_equivalence(
-    point: PhasePoint,
+    analysis: Analysis,
     program: gates.GateProgram,
     runway_n: int,
     trials: int = 0,
@@ -388,11 +387,12 @@ def boundary_equivalence(
         raise ValidationError("program must end in a logical measurement")
     _check_boundary("left_boundary", left_boundary)
     _check_boundary("right_boundary", right_boundary)
+    point = analysis.point
     final = program.steps[-1]
     body = gates.GateProgram(program.steps[:-1])
     labels, sym = _byproduct_labels(point)
     D = point.D
-    sites, _ = expand_sites(point, body)
+    sites, _ = expand_sites(analysis, body)
     left = _left_density(point, left_boundary)
     states: dict[tuple, np.ndarray] = {(0, 0): left}
     for site in sites:
@@ -435,7 +435,7 @@ def boundary_equivalence(
     if trials > 0:
         freqs = {}
         for m_idx, mode in enumerate(BoundaryMode):
-            cfg = RunConfig(point=point, program=program, procedure=Procedure.PROCEDURE_II,
+            cfg = RunConfig(analysis=analysis, program=program, procedure=Procedure.PROCEDURE_II,
                             boundary=mode, runway_n=runway_n, trials=trials, seed=seed,
                             left_boundary=left, right_boundary=right_boundary)
             records = TrajectoryEngine(cfg).sample(
@@ -461,8 +461,9 @@ class ReverseFixedPoint:
     forward_overlap: float
 
 
-def completely_oblivious_fixed_point(point: PhasePoint) -> ReverseFixedPoint:
+def completely_oblivious_fixed_point(analysis: Analysis) -> ReverseFixedPoint:
     """Top eigenoperator of Fbar = sum_s [A_s^dag], checked against I/D (x) junk fixed point."""
+    point = analysis.point
     fbar = reverse_full_channel(point)
     fix_full = fixed_point(fbar)  # raises DegenerateLeadingEigenvalue when degenerate
     fix_junk = fixed_point(reverse_junk_channel(point))
@@ -470,7 +471,7 @@ def completely_oblivious_fixed_point(point: PhasePoint) -> ReverseFixedPoint:
     logical = tau.reshape(point.D, point.Dj, point.D, point.Dj).trace(axis1=1, axis2=3)
     logical_dev = float(np.max(np.abs(logical - np.eye(point.D) / point.D)))
     gap = abs(fix_full.eigenvalue - fix_junk.eigenvalue)
-    forward = fixed_point(junk_channel(point))
+    forward = analysis.fix
     overlap = float(np.trace(forward.rho @ fix_junk.rho).real)
     if overlap <= 1e-10:
         raise DegenerateLeadingEigenvalue(
@@ -489,13 +490,10 @@ def completely_oblivious_fixed_point(point: PhasePoint) -> ReverseFixedPoint:
 
 def record_to_json(record: TrajectoryRecord) -> dict:
     """JSON-ready view of one trajectory record (one line of a JSONL log)."""
-    byprod = None
-    if record.byproduct is not None:
-        byprod = [[[float(v.real), float(v.imag)] for v in row] for row in record.byproduct]
     return {
         "outcomes": list(record.outcomes) if record.outcomes is not None else None,
         "outcome_counts": [int(c) for c in record.outcome_counts],
-        "byproduct": byprod,
+        "byproduct": encode_matrix(record.byproduct) if record.byproduct is not None else None,
         "boundary_outcome": record.boundary_outcome,
         "procedure": record.procedure.value,
         "boundary": record.boundary.value,

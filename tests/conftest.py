@@ -31,18 +31,28 @@ def mixed(cluster2):
 
 
 @pytest.fixture(scope="session")
-def perturbed_fix(perturbed):
-    return channel.fixed_point(channel.junk_channel(perturbed))
+def perturbed_an(perturbed):
+    return channel.analyze(perturbed)
 
 
 @pytest.fixture(scope="session")
-def perturbed_nu(perturbed, perturbed_fix):
-    return channel.nu_matrix(perturbed, perturbed_fix)
+def perturbed_fix(perturbed_an):
+    return perturbed_an.fix
 
 
 @pytest.fixture(scope="session")
-def cluster2_nu(cluster2):
-    return channel.nu_matrix(cluster2)
+def perturbed_nu(perturbed_an):
+    return perturbed_an.nu
+
+
+@pytest.fixture(scope="session")
+def cluster2_an(cluster2):
+    return channel.analyze(cluster2)
+
+
+@pytest.fixture(scope="session")
+def cluster2_nu(cluster2_an):
+    return cluster2_an.nu
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -52,5 +62,4 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+    return channel.random_unit_vector(rng, dim)

@@ -18,12 +18,12 @@ def report(criterion: str, ok: bool, detail: str):
 
 # -- 1 ----------------------------------------------------------------------
 
-def test_criterion_1_fixed_point_and_factorization(perturbed, perturbed_fix):
+def test_criterion_1_fixed_point_and_factorization(perturbed, perturbed_fix, perturbed_an):
     rng = np.random.default_rng(101)
     L = random_state(4, rng)
     n = channel.default_wire_length(perturbed)
     out = channel.oblivious_wire(
-        channel.VirtualState.from_boundary_vector(L, 2, 2), perturbed, n)
+        channel.VirtualState.from_boundary_vector(L, 2, 2), perturbed_an, n)
     residual = channel.factorization_check(out).residual
     rho = perturbed_fix.rho
     psd = float(np.linalg.eigvalsh(rho)[0])
@@ -37,12 +37,12 @@ def test_criterion_1_fixed_point_and_factorization(perturbed, perturbed_fix):
 
 # -- 2 ----------------------------------------------------------------------
 
-def test_criterion_2_nu_matrix(perturbed, perturbed_nu, perturbed_fix):
+def test_criterion_2_nu_matrix(perturbed_nu, perturbed_an):
     nu = perturbed_nu.nu
     herm = float(np.linalg.norm(nu - nu.conj().T))
     trace_dev = float(abs(np.trace(nu) - 1))
     min_eig = float(np.linalg.eigvalsh((nu + nu.conj().T) / 2)[0])
-    iter_dev = channel.nu_iteration_deviation(perturbed, perturbed_nu, perturbed_fix)
+    iter_dev = channel.nu_iteration_deviation(perturbed_an)
     ok = herm < 1e-10 and trace_dev < 1e-10 and min_eig > -1e-10 and iter_dev < 1e-8
     report("criterion 2 (nu-matrix properties)", ok,
            f"hermiticity {herm:.1e}, trace {trace_dev:.1e}, min eig {min_eig:.1e}, "
@@ -51,21 +51,21 @@ def test_criterion_2_nu_matrix(perturbed, perturbed_nu, perturbed_fix):
 
 # -- 3 ----------------------------------------------------------------------
 
-def test_criterion_3_first_order_gate_law(perturbed, perturbed_nu, perturbed_fix):
+def test_criterion_3_first_order_gate_law(perturbed_an):
     worst_ratio = 0.0
     details = []
     for dalpha in (1e-2, 1e-3, 1e-4):
         step = gates.GateStep((0, 1), dalpha, 0.7)
-        ch = gates.rotation_step_channel(perturbed, perturbed_nu, step, fix=perturbed_fix)
+        ch = gates.rotation_step_channel(perturbed_an, step)
         target = gates.unitary_channel(
-            gates.rotation_target_unitary(perturbed, perturbed_nu, (0, 1), dalpha, 0.7))
+            gates.rotation_target_unitary(perturbed_an, (0, 1), dalpha, 0.7))
         dist = gates.channel_distance(ch, target)
         worst_ratio = max(worst_ratio, dist / (10 * dalpha ** 2))
         details.append(f"d({dalpha:g})={dist:.1e}")
     errs = {}
     for n in (100, 200, 400, 800):
-        errs[n] = gates.finite_rotation(perturbed, perturbed_nu, (0, 1), np.pi / 4, np.pi / 2,
-                                        n, fix=perturbed_fix).distance
+        errs[n] = gates.finite_rotation(perturbed_an, (0, 1), np.pi / 4, np.pi / 2,
+                                        n).distance
     ratios = [errs[n] / errs[2 * n] for n in (100, 200, 400)]
     ok = worst_ratio <= 1.0 and all(1.5 <= r <= 2.5 for r in ratios)
     report("criterion 3 (gate first-order law)", ok,
@@ -75,18 +75,16 @@ def test_criterion_3_first_order_gate_law(perturbed, perturbed_nu, perturbed_fix
 
 # -- 4 ----------------------------------------------------------------------
 
-def test_criterion_4_composition(perturbed, perturbed_nu, perturbed_fix):
+def test_criterion_4_composition(perturbed_an):
     steps = (
         gates.GateStep((0, 1), 0.05, 0.3),
         gates.GateStep((0, 2), -0.04, 1.1),
         gates.GateStep((1, 3), 0.03, 2.0),
     )
-    composed = gates.compose_program(perturbed, perturbed_nu, gates.GateProgram(steps),
-                                     fix=perturbed_fix)
+    composed = gates.compose_program(perturbed_an, gates.GateProgram(steps))
     product = gates.identity_channel(2)
     for s in steps:
-        product = gates.rotation_step_channel(perturbed, perturbed_nu, s,
-                                              fix=perturbed_fix).compose(product)
+        product = gates.rotation_step_channel(perturbed_an, s).compose(product)
     dev = float(np.max(np.abs(composed.superop - product.superop)))
     report("criterion 4 (composition)", dev < 1e-10,
            f"3-step program vs product of steps: {dev:.2e} < 1e-10")
@@ -155,11 +153,11 @@ def test_criterion_6_filter_and_measurement_suite(perturbed_nu):
 
 # -- 7 ----------------------------------------------------------------------
 
-def test_criterion_7_born_rule(perturbed, perturbed_nu, perturbed_fix):
+def test_criterion_7_born_rule(perturbed, perturbed_fix, perturbed_an):
     phis, projs = gates.eigenphase_groups(gates.pair_operator(perturbed, (0, 1)))
     sigma = 0.7 * projs[0] + 0.3 * projs[1]
     rng = np.random.default_rng(707)
-    rep = meas.born_statistics(sigma, perturbed, perturbed_nu, (0, 1),
+    rep = meas.born_statistics(sigma, perturbed_an, (0, 1),
                                trials=10_000, n_m=600, rng=rng)
     band = 3 * np.sqrt(np.array([0.7 * 0.3, 0.3 * 0.7]) / 10_000)
     born_ok = bool(np.all(np.abs(rep.frequencies - np.array([0.7, 0.3])) <= band))
@@ -167,8 +165,8 @@ def test_criterion_7_born_rule(perturbed, perturbed_nu, perturbed_fix):
     sigma_r = random_density(2, rng)
     state = channel.VirtualState.product(sigma_r, perturbed_fix.rho)
     basis = meas.MeasurementBasis((0, 1), 0.7, meas.BasisVariant.GENERAL, beta=1.1)
-    engine = meas.WeakStepEngine.build(perturbed, basis)
-    summed = sum(engine.outcome_states(state))
+    ops = basis.virtual_ops(perturbed)
+    summed = sum(meas.outcome_states(state, perturbed_an, ops))
     sig_out = channel.VirtualState(summed, 2, 2).logical_state()
     diag_dev = max(abs(np.trace(p @ sigma_r).real - np.trace(p @ sig_out).real) for p in projs)
     ok = born_ok and diag_dev < 1e-12
@@ -179,7 +177,7 @@ def test_criterion_7_born_rule(perturbed, perturbed_nu, perturbed_fix):
 
 # -- 8 ----------------------------------------------------------------------
 
-def test_criterion_8_boundary_reversion(perturbed, perturbed_fix):
+def test_criterion_8_boundary_reversion(perturbed, perturbed_fix, perturbed_an):
     rng = np.random.default_rng(808)
     sig = random_density(2, rng)
     left = np.kron(sig, perturbed_fix.rho)
@@ -190,9 +188,9 @@ def test_criterion_8_boundary_reversion(perturbed, perturbed_fix):
     ))
     xi_bar = channel.spectrum(channel.reverse_junk_channel(perturbed)).correlation_length
     runway = max(20, int(np.ceil(30 * xi_bar)))
-    rep = traj.boundary_equivalence(perturbed, program, runway_n=runway,
+    rep = traj.boundary_equivalence(perturbed_an, program, runway_n=runway,
                                     left_boundary=left, right_boundary=right)
-    rfp = traj.completely_oblivious_fixed_point(perturbed)
+    rfp = traj.completely_oblivious_fixed_point(perturbed_an)
     ok = (rep.tv_exact <= 1e-8 and rfp.logical_deviation < 1e-10
           and rfp.eigenvalue_gap < 1e-12)
     report("criterion 8 (boundary reversion)", ok,
@@ -221,9 +219,9 @@ def test_criterion_9_oracle_conformance(perturbed, cluster2):
 
 # -- 10 ---------------------------------------------------------------------
 
-def test_criterion_10_nu_self_test(perturbed, perturbed_fix):
+def test_criterion_10_nu_self_test(perturbed_an):
     rng = np.random.default_rng(1010)
-    est = meas.estimate_nu(perturbed, 100_000, rng, fix=perturbed_fix)
+    est = meas.estimate_nu(perturbed_an, 100_000, rng)
     diag_ok = bool(np.all(np.abs(est.diag - est.diag_truth)
                           <= 3 * np.maximum(est.diag_sigma, 1e-9)))
     rel = abs(est.abs_nu10 - est.abs_nu10_truth) / est.abs_nu10_truth
@@ -238,15 +236,14 @@ def test_criterion_10_nu_self_test(perturbed, perturbed_fix):
 def test_criterion_11_interaction_picture(cluster2, cluster3, perturbed, perturbed3):
     worst = 0.0
     for point in (cluster2, cluster3, perturbed, perturbed3):
-        fix = channel.fixed_point(channel.junk_channel(point))
-        nu = channel.nu_matrix(point, fix)
+        an = channel.analyze(point)
         step = gates.GateStep((0, 1), 0.07, 0.9)
-        ch = gates.rotation_step_channel(point, nu, step, fix=fix)
+        ch = gates.rotation_step_channel(an, step)
         u = gates.step_interaction_unitary(point, step)
         rng = np.random.default_rng(1111)
         for _ in range(3):
             sigma = random_density(point.D, rng)
-            dev = float(np.max(np.abs(ch.apply(sigma) - gates.interaction_step(nu, sigma, u, point))))
+            dev = float(np.max(np.abs(ch.apply(sigma) - gates.interaction_step(an, sigma, u))))
             worst = max(worst, dev)
     report("criterion 11 (interaction picture)", worst < 1e-10,
            f"ancilla-coupling circuit vs step channel on all shipped models: {worst:.2e} < 1e-10")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sptmbqc import channel, model
+from sptmbqc import channel, gates, model
 from sptmbqc.errors import DegenerateLeadingEigenvalue
 from conftest import random_density, random_state
 
@@ -69,8 +69,8 @@ def test_nu_matrix_invariants(perturbed, perturbed_nu):
     assert np.linalg.eigvalsh((nu + nu.conj().T) / 2)[0] > -1e-10
 
 
-def test_nu_spectral_vs_iteration(perturbed, perturbed_nu, perturbed_fix):
-    dev = channel.nu_iteration_deviation(perturbed, perturbed_nu, perturbed_fix)
+def test_nu_spectral_vs_iteration(perturbed_an):
+    dev = channel.nu_iteration_deviation(perturbed_an)
     assert dev < 1e-8
 
 
@@ -89,33 +89,33 @@ def test_spectrum_closed_under_conjugation(perturbed):
         assert np.min(np.abs(sp.eigenvalues - np.conj(lam))) < 1e-10
 
 
-def test_oblivious_wire_zero_sites(perturbed):
+def test_oblivious_wire_zero_sites(perturbed_an):
     rng = np.random.default_rng(5)
     st_ = channel.VirtualState(random_density(4, rng), 2, 2)
-    out = channel.oblivious_wire(st_, perturbed, 0)
+    out = channel.oblivious_wire(st_, perturbed_an, 0)
     np.testing.assert_allclose(out.rho, st_.rho / np.trace(st_.rho).real, atol=1e-14)
 
 
-def test_oblivious_wire_product_input(perturbed, perturbed_fix):
+def test_oblivious_wire_product_input(perturbed, perturbed_fix, perturbed_an):
     rng = np.random.default_rng(6)
     sigma = random_density(2, rng)
     rho_j = random_density(2, rng)
     st_ = channel.VirtualState.product(sigma, rho_j)
     n = channel.default_wire_length(perturbed)
-    out = channel.oblivious_wire(st_, perturbed, n)
+    out = channel.oblivious_wire(st_, perturbed_an, n)
     expected = channel.VirtualState.product(sigma, perturbed_fix.rho).normalized()
     assert np.max(np.abs(out.rho - expected.rho)) < 1e-9
     # logical reduced state is preserved exactly for product inputs
-    one = channel.oblivious_wire(st_, perturbed, 1)
+    one = channel.oblivious_wire(st_, perturbed_an, 1)
     np.testing.assert_allclose(one.logical_state(), sigma, atol=1e-12)
 
 
-def test_wire_factorizes_entangled_boundary(perturbed):
+def test_wire_factorizes_entangled_boundary(perturbed, perturbed_an):
     rng = np.random.default_rng(7)
     L = random_state(4, rng)
     st_ = channel.VirtualState.from_boundary_vector(L, 2, 2)
     n = channel.default_wire_length(perturbed)
-    out = channel.oblivious_wire(st_, perturbed, n)
+    out = channel.oblivious_wire(st_, perturbed_an, n)
     fac = channel.factorization_check(out)
     assert fac.residual < 1e-8
     assert np.linalg.norm(fac.sigma - fac.sigma.conj().T) < 1e-8
@@ -138,8 +138,8 @@ def test_factorization_maximally_entangled():
     assert fac.residual == pytest.approx(1.0, abs=1e-12)
 
 
-def test_nu_export_shape(perturbed):
-    doc = channel.nu_export(perturbed)
+def test_nu_export_shape(perturbed_an):
+    doc = channel.nu_export(perturbed_an)
     assert set(doc) == {"nu", "delta", "xi"}
     assert len(doc["nu"]) == 4 and len(doc["nu"][0]) == 4
     assert doc["xi"] > 0
@@ -159,3 +159,30 @@ def test_fixed_point_cluster_scalar(cluster2):
     np.testing.assert_allclose(fix.rho, [[1.0]], atol=1e-14)
     np.testing.assert_allclose(fix.ell, [[1.0]], atol=1e-14)
     assert fix.eigenvalue == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("fixture", ["cluster2", "perturbed", "perturbed3", "mixed"])
+def test_analysis_wire_matches_full_superop(request, fixture):
+    # the junk-factor wire map equals the dense I (x) L superoperator power
+    point = request.getfixturevalue(fixture)
+    an = channel.analyze(point)
+    rng = np.random.default_rng(12)
+    xs = np.stack([random_density(point.Db, rng) for _ in range(3)])
+    full = gates.wire_superop(point)
+    for n in (0, 1, 7, an.wire_length):
+        powered = np.linalg.matrix_power(full, n)
+        expected = np.stack([channel.unvec(powered @ channel.vec(x)) for x in xs])
+        assert np.max(np.abs(an.wire(xs, n) - expected)) < 1e-13
+        assert np.max(np.abs(an.wire(xs[0], n) - expected[0])) < 1e-13
+    assert an.junk_power(7) is an.junk_power(7)
+
+
+def test_analysis_is_lazy(perturbed):
+    # reading the wire map computes neither the fixed point nor nu
+    an = channel.analyze(perturbed)
+    an.wire(np.eye(perturbed.Db), 3)
+    assert not {"fix", "nu", "xi", "wire_length"} & set(vars(an))
+    assert an.wire_length == channel.default_wire_length(perturbed)
+    assert "fix" not in vars(an)
+    np.testing.assert_array_equal(an.nu.nu, channel.nu_matrix(perturbed).nu)
+    assert an.fix is an.fix

@@ -162,3 +162,16 @@ def test_vanishing_probability_exit_code(tmp_path, model_file, monkeypatch):
     monkeypatch.setattr(trajectory, "draw_outcomes", vanish)
     assert run(["run", "wire", "--model", str(model_file), "--n", "5",
                 "--trajectories", "2", "--out", str(tmp_path)]) == 3
+
+
+def test_run_nu_d3_needs_qubit(tmp_path, capsys):
+    # the self-test's Pauli probe axes exist only for D=2: a D=3 model is a
+    # numerical failure (exit 3), after the exact export has been written
+    mdir = tmp_path / "m"
+    assert run(["model", "perturb", "--D", "3", "--strength", "0.2", "--junk-dim", "2",
+                "--seed", "11", "--out", str(mdir)]) == 0
+    out = tmp_path / "nu"
+    assert run(["run", "nu", "--model", str(mdir / "model_perturbed.json"), "--samples", "200",
+                "--out", str(out)]) == 3
+    assert "D=2" in capsys.readouterr().err
+    assert len(json.loads((out / "nu_exact.json").read_text())["nu"]) == 9

@@ -60,33 +60,32 @@ def test_lie_closure_max_dim():
         gates.lie_closure([X, Y, Z], max_dim=2)
 
 
-def test_rotation_step_zero_angle(perturbed, perturbed_nu, perturbed_fix):
+def test_rotation_step_zero_angle(perturbed_an):
     step = gates.GateStep((0, 1), 0.0, 0.3)
-    ch = gates.rotation_step_channel(perturbed, perturbed_nu, step, fix=perturbed_fix)
+    ch = gates.rotation_step_channel(perturbed_an, step)
     assert np.max(np.abs(ch.superop - np.eye(4))) < 1e-12
 
 
-def test_rotation_step_hermitian_generator_beta0(cluster2, cluster2_nu):
+def test_rotation_step_hermitian_generator_beta0(cluster2_an):
     # pair (0, 2) has C = X Hermitian, so at beta = 0 the generator vanishes
     dalpha = 1e-3
     step = gates.GateStep((0, 2), dalpha, 0.0)
-    ch = gates.rotation_step_channel(cluster2, cluster2_nu, step)
+    ch = gates.rotation_step_channel(cluster2_an, step)
     assert gates.channel_distance(ch, gates.identity_channel(2)) < 10 * dalpha ** 2
 
 
 @pytest.mark.parametrize("fixture", ["cluster2", "cluster3", "perturbed", "perturbed3"])
 def test_first_order_law_all_models(request, fixture):
     point = request.getfixturevalue(fixture)
-    fix = channel.fixed_point(channel.junk_channel(point))
-    nu = channel.nu_matrix(point, fix)
+    an = channel.analyze(point)
     dalpha = 1e-3
     step = gates.GateStep((0, 1), dalpha, 0.7)
-    ch = gates.rotation_step_channel(point, nu, step, fix=fix)
-    target = gates.unitary_channel(gates.rotation_target_unitary(point, nu, (0, 1), dalpha, 0.7))
+    ch = gates.rotation_step_channel(an, step)
+    target = gates.unitary_channel(gates.rotation_target_unitary(an, (0, 1), dalpha, 0.7))
     assert gates.channel_distance(ch, target) <= 10 * dalpha ** 2
 
 
-def test_anticommutator_cancellation(perturbed, perturbed_nu, perturbed_fix):
+def test_anticommutator_cancellation(perturbed, perturbed_nu, perturbed_fix, perturbed_an):
     # the heralded two-path sum has no first-order trace change
     rng = np.random.default_rng(0)
     sigma = random_density(2, rng)
@@ -94,7 +93,7 @@ def test_anticommutator_cancellation(perturbed, perturbed_nu, perturbed_fix):
     wire_n = channel.default_wire_length(perturbed)
 
     def raw_trace(dalpha):
-        s = gates.step_virtual_superop(perturbed, (0, 1), np.arctan(dalpha), 0.9, wire_n, "pair")
+        s = gates.step_virtual_superop(perturbed_an, (0, 1), np.arctan(dalpha), 0.9, wire_n, "pair")
         return np.trace(gates.unvec(s @ gates.vec(tau))).real
 
     h = 1e-4
@@ -102,55 +101,54 @@ def test_anticommutator_cancellation(perturbed, perturbed_nu, perturbed_fix):
     assert abs(derivative) < 1e-8
 
 
-def test_finite_rotation_zero(perturbed, perturbed_nu, perturbed_fix):
-    fr = gates.finite_rotation(perturbed, perturbed_nu, (0, 1), 0.0, 0.0, 10, fix=perturbed_fix)
+def test_finite_rotation_zero(perturbed_an):
+    fr = gates.finite_rotation(perturbed_an, (0, 1), 0.0, 0.0, 10)
     assert gates.channel_distance(fr.channel, gates.identity_channel(2)) < 1e-12
 
 
-def test_finite_rotation_error_scaling(perturbed, perturbed_nu, perturbed_fix):
+def test_finite_rotation_error_scaling(perturbed_an):
     errs = {}
     for n in (100, 200, 400, 800):
-        fr = gates.finite_rotation(perturbed, perturbed_nu, (0, 1), np.pi / 4, np.pi / 2, n,
-                                   fix=perturbed_fix)
+        fr = gates.finite_rotation(perturbed_an, (0, 1), np.pi / 4, np.pi / 2, n)
         errs[n] = fr.distance
     for n in (100, 200, 400):
         assert 1.5 <= errs[n] / errs[2 * n] <= 2.5
 
 
-def test_finite_rotation_cluster_example(cluster2, cluster2_nu):
-    fr = gates.finite_rotation(cluster2, cluster2_nu, (0, 2), np.pi / 4, np.pi / 2, 400)
+def test_finite_rotation_cluster_example(cluster2_an):
+    fr = gates.finite_rotation(cluster2_an, (0, 2), np.pi / 4, np.pi / 2, 400)
     assert fr.distance <= 5 / 400
     assert fr.choi_fid > 0.999
 
 
-def test_compose_program_is_product(perturbed, perturbed_nu, perturbed_fix):
+def test_compose_program_is_product(perturbed_an):
     steps = (
         gates.GateStep((0, 1), 0.05, 0.3),
         gates.GateStep((0, 2), -0.04, 1.1),
         gates.GateStep((1, 3), 0.03, 2.0),
     )
     program = gates.GateProgram(steps)
-    composed = gates.compose_program(perturbed, perturbed_nu, program, fix=perturbed_fix)
+    composed = gates.compose_program(perturbed_an, program)
     product = gates.identity_channel(2)
     for s in steps:
-        product = gates.rotation_step_channel(perturbed, perturbed_nu, s, fix=perturbed_fix).compose(product)
+        product = gates.rotation_step_channel(perturbed_an, s).compose(product)
     assert np.max(np.abs(composed.superop - product.superop)) < 1e-10
 
 
-def test_compose_empty_program(perturbed, perturbed_nu):
-    ch = gates.compose_program(perturbed, perturbed_nu, gates.GateProgram(()))
+def test_compose_empty_program(perturbed_an):
+    ch = gates.compose_program(perturbed_an, gates.GateProgram(()))
     np.testing.assert_allclose(ch.superop, np.eye(4), atol=1e-14)
 
 
-def test_compose_associativity(perturbed, perturbed_nu, perturbed_fix):
+def test_compose_associativity(perturbed_an):
     steps = [gates.GateStep((0, 1), 0.02 * k, 0.5 * k) for k in (1, 2, 3)]
-    ab_c = gates.compose_program(perturbed, perturbed_nu, gates.GateProgram(tuple(steps)), fix=perturbed_fix)
-    a = gates.rotation_step_channel(perturbed, perturbed_nu, steps[0], fix=perturbed_fix)
-    bc = gates.compose_program(perturbed, perturbed_nu, gates.GateProgram(tuple(steps[1:])), fix=perturbed_fix)
+    ab_c = gates.compose_program(perturbed_an, gates.GateProgram(tuple(steps)))
+    a = gates.rotation_step_channel(perturbed_an, steps[0])
+    bc = gates.compose_program(perturbed_an, gates.GateProgram(tuple(steps[1:])))
     assert np.max(np.abs(ab_c.superop - bc.compose(a).superop)) < 1e-10
 
 
-def test_compose_symmetry_violation(cluster2, cluster2_nu):
+def test_compose_symmetry_violation(cluster2):
     rng = np.random.default_rng(2)
     m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     q, _ = np.linalg.qr(m)
@@ -158,11 +156,11 @@ def test_compose_symmetry_violation(cluster2, cluster2_nu):
     C[2] = q
     bad = model.PhasePoint(d=4, D=2, Dj=1, C=C, B=cluster2.B, label="bad")
     with pytest.raises(SymmetryConditionViolated):
-        gates.compose_program(bad, cluster2_nu, gates.GateProgram((gates.GateStep((0, 1), 0.01),)))
+        gates.compose_program(channel.analyze(bad), gates.GateProgram((gates.GateStep((0, 1), 0.01),)))
 
 
-def test_step_channel_valid(perturbed, perturbed_nu, perturbed_fix):
-    ch = gates.step_channel(perturbed, perturbed_nu, (0, 1), 0.4, 1.2, fix=perturbed_fix)
+def test_step_channel_valid(perturbed_an):
+    ch = gates.step_channel(perturbed_an, (0, 1), 0.4, 1.2)
     gates.validate_channel(ch)
 
 
@@ -184,63 +182,61 @@ def test_small_angle_warning():
         gates.GateStep((0, 1), 0.5)
 
 
-def test_compile_su2_identity(cluster2, cluster2_nu):
-    comp = gates.compile_su2(np.eye(2), cluster2, cluster2_nu, 1e-2)
+def test_compile_su2_identity(cluster2_an):
+    comp = gates.compile_su2(np.eye(2), cluster2_an, 1e-2)
     assert comp.program.steps == ()
 
 
-def test_compile_su2_single_generator(cluster2, cluster2_nu):
+def test_compile_su2_single_generator(cluster2_an):
     target = np.cos(np.pi / 8) * np.eye(2) + 1j * np.sin(np.pi / 8) * X
-    comp = gates.compile_su2(target, cluster2, cluster2_nu, 1e-2)
+    comp = gates.compile_su2(target, cluster2_an, 1e-2)
     assert len(comp.program.steps) == 1
-    executed = gates.compose_program(cluster2, cluster2_nu, comp.program)
+    executed = gates.compose_program(cluster2_an, comp.program)
     assert gates.channel_distance(executed, gates.unitary_channel(target)) <= 1e-2
 
 
 @pytest.mark.parametrize("seed", [11, 23])
-def test_compile_su2_random_target(seed, perturbed, perturbed_nu, perturbed_fix):
+def test_compile_su2_random_target(seed, perturbed_an):
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     q, _ = np.linalg.qr(m)
     q = q / np.sqrt(np.linalg.det(q))
-    comp = gates.compile_su2(q, perturbed, perturbed_nu, 1e-2)
-    executed = gates.compose_program(perturbed, perturbed_nu, comp.program, fix=perturbed_fix)
+    comp = gates.compile_su2(q, perturbed_an, 1e-2)
+    executed = gates.compose_program(perturbed_an, comp.program)
     assert gates.channel_distance(executed, gates.unitary_channel(q)) <= 1e-2
-    assert comp.predicted_sites == comp.program.site_budget(perturbed)
+    assert comp.predicted_sites == comp.program.site_budget(perturbed_an)
 
 
 def test_compile_su2_wrong_dimension(cluster3):
-    nu3 = channel.nu_matrix(cluster3)
     with pytest.raises(ClosureTooSmall):
-        gates.compile_su2(np.eye(2), cluster3, nu3, 1e-2)
+        gates.compile_su2(np.eye(2), channel.analyze(cluster3), 1e-2)
 
 
-def test_interaction_identity(perturbed, perturbed_nu):
+def test_interaction_identity(perturbed_an):
     rng = np.random.default_rng(3)
     sigma = random_density(2, rng)
-    out = gates.interaction_step(perturbed_nu, sigma, np.eye(4), perturbed)
+    out = gates.interaction_step(perturbed_an, sigma, np.eye(4))
     np.testing.assert_allclose(out, sigma, atol=1e-12)
 
 
 @pytest.mark.parametrize("fixture", ["cluster2", "cluster3", "perturbed", "perturbed3"])
 def test_interaction_matches_step_channel(request, fixture):
     point = request.getfixturevalue(fixture)
-    fix = channel.fixed_point(channel.junk_channel(point))
-    nu = channel.nu_matrix(point, fix)
+    an = channel.analyze(point)
     step = gates.GateStep((0, 1), 0.07, 0.9)
-    ch = gates.rotation_step_channel(point, nu, step, fix=fix)
+    ch = gates.rotation_step_channel(an, step)
     u = gates.step_interaction_unitary(point, step)
     rng = np.random.default_rng(4)
     for _ in range(3):
         sigma = random_density(point.D, rng)
         out_channel = ch.apply(sigma)
-        out_interaction = gates.interaction_step(nu, sigma, u, point)
+        out_interaction = gates.interaction_step(an, sigma, u)
         assert np.max(np.abs(out_channel - out_interaction)) < 1e-10
 
 
-def test_interaction_trace_preserving(perturbed, perturbed_nu):
+def test_interaction_trace_preserving(perturbed_an):
     rng = np.random.default_rng(5)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     u, _ = np.linalg.qr(m)
-    out = gates.interaction_step(perturbed_nu, np.eye(2) / 2, u, perturbed)
+    out = gates.interaction_step(perturbed_an, np.eye(2) / 2, u)
     assert abs(np.trace(out) - 1) < 1e-12

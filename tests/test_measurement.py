@@ -56,16 +56,16 @@ def test_filter_sum_rule_grid(perturbed_nu):
     assert np.max(np.abs(f0 + f1 + params.rest - 1.0)) < 1e-12
 
 
-def test_filter_matches_exact_channel(perturbed, perturbed_nu, perturbed_fix):
+def test_filter_matches_exact_channel(perturbed, perturbed_nu, perturbed_fix, perturbed_an):
     # diagonal filter values equal the exact per-outcome channel traces on eigenstates
     basis = meas.MeasurementBasis((0, 1), 0.6, meas.BasisVariant.GENERAL, beta=0.9)
-    engine = meas.WeakStepEngine.build(perturbed, basis)
+    ops = basis.virtual_ops(perturbed)
     params = meas.PairFilter.from_nu(perturbed_nu, (0, 1))
     phis, projs = gates.eigenphase_groups(gates.pair_operator(perturbed, (0, 1)))
     for phi, proj in zip(phis, projs):
         v = principal(proj)
         state = channel.VirtualState.product(np.outer(v, v.conj()), perturbed_fix.rho)
-        traces = [np.trace(o).real for o in engine.outcome_states(state)]
+        traces = [np.trace(o).real for o in meas.outcome_states(state, perturbed_an, ops)]
         f0, f1 = meas.filter_values(params, 0.6, 0.9, phi)
         assert traces[0] == pytest.approx(f0, abs=1e-12)
         assert traces[1] == pytest.approx(f1, abs=1e-12)
@@ -96,40 +96,40 @@ def test_accumulated_filter_peak_ratio():
     assert f0 / f1 == pytest.approx(n0 / n1, rel=1e-3)
 
 
-def test_weak_step_wire_basis_probabilities(perturbed, perturbed_nu, perturbed_fix):
+def test_weak_step_wire_basis_probabilities(perturbed, perturbed_nu, perturbed_fix, perturbed_an):
     basis = meas.MeasurementBasis((0, 1), 0.0)
-    engine = meas.WeakStepEngine.build(perturbed, basis)
+    ops = basis.virtual_ops(perturbed)
     rng = np.random.default_rng(0)
     sigma = random_density(2, rng)
     state = channel.VirtualState.product(sigma, perturbed_fix.rho)
-    outs = engine.outcome_states(state)
+    outs = meas.outcome_states(state, perturbed_an, ops)
     for k, out in enumerate(outs):
         assert np.trace(out).real == pytest.approx(perturbed_nu.nu[k, k].real, abs=1e-10)
         np.testing.assert_allclose(
             channel.VirtualState(out, 2, 2).logical_state() / np.trace(out).real, sigma, atol=1e-10)
 
 
-def test_weak_step_eigenstate_unchanged(perturbed, perturbed_nu, perturbed_fix):
+def test_weak_step_eigenstate_unchanged(perturbed, perturbed_nu, perturbed_fix, perturbed_an):
     phis, projs = gates.eigenphase_groups(gates.pair_operator(perturbed, (0, 1)))
     v = principal(projs[0])
     state = channel.VirtualState.product(np.outer(v, v.conj()), perturbed_fix.rho)
     basis = meas.MeasurementBasis((0, 1), 0.7)
-    engine = meas.WeakStepEngine.build(perturbed, basis)
-    for out in engine.outcome_states(state):
+    ops = basis.virtual_ops(perturbed)
+    for out in meas.outcome_states(state, perturbed_an, ops):
         sig = out.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
         sig = sig / np.trace(sig).real
         np.testing.assert_allclose(sig, np.outer(v, v.conj()), atol=1e-10)
 
 
-def test_weak_step_diagonal_preservation(perturbed, perturbed_nu, perturbed_fix):
+def test_weak_step_diagonal_preservation(perturbed, perturbed_nu, perturbed_fix, perturbed_an):
     # summing all outcome paths leaves the C-eigenbasis diagonal invariant
     rng = np.random.default_rng(1)
     sigma = random_density(2, rng)
     state = channel.VirtualState.product(sigma, perturbed_fix.rho)
     phis, projs = gates.eigenphase_groups(gates.pair_operator(perturbed, (0, 1)))
     basis = meas.MeasurementBasis((0, 1), 0.7, meas.BasisVariant.GENERAL, beta=1.1)
-    engine = meas.WeakStepEngine.build(perturbed, basis)
-    summed = sum(engine.outcome_states(state))
+    ops = basis.virtual_ops(perturbed)
+    summed = sum(meas.outcome_states(state, perturbed_an, ops))
     sig_out = channel.VirtualState(summed, 2, 2).logical_state()
     for proj in projs:
         before = np.trace(proj @ sigma).real
@@ -214,56 +214,55 @@ def test_filter_trajectories_matches_masked_reference(perturbed_nu):
     np.testing.assert_array_equal(final, ref_pops)
 
 
-def test_measure_observable_eigenstate(perturbed, perturbed_nu, perturbed_fix):
+def test_measure_observable_eigenstate(perturbed, perturbed_an):
     phis, projs = gates.eigenphase_groups(gates.pair_operator(perturbed, (0, 1)))
     rng = np.random.default_rng(11)
     for idx in (0, 1):
         v = principal(projs[idx])
-        res = meas.measure_observable(np.outer(v, v.conj()), perturbed, perturbed_nu, (0, 1),
-                                      400, np.pi / 4, rng, fix=perturbed_fix)
+        res = meas.measure_observable(np.outer(v, v.conj()), perturbed_an, (0, 1),
+                                      400, np.pi / 4, rng)
         assert res.matched_index == idx
         assert abs(np.angle(np.exp(1j * (res.phi_hat - phis[idx])))) < 0.3
         assert sum(res.counts) == 400
 
 
-def test_measure_observable_out_of_range_flag(perturbed, perturbed_nu, perturbed_fix):
+def test_measure_observable_out_of_range_flag(perturbed_an):
     # tiny N_M gives coarse count ratios; out-of-range estimates are flagged, not fatal
     rng = np.random.default_rng(0)
     flags = []
     for _ in range(40):
-        res = meas.measure_observable(np.eye(2) / 2, perturbed, perturbed_nu, (0, 1),
-                                      4, np.pi / 4, rng, fix=perturbed_fix)
+        res = meas.measure_observable(np.eye(2) / 2, perturbed_an, (0, 1),
+                                      4, np.pi / 4, rng)
         flags.append(res.out_of_range)
         assert abs(res.cos_estimate) <= 1 + meas.OUT_OF_RANGE_SLACK + 1e-12 or np.isnan(res.cos_estimate)
     assert any(flags)
 
 
-def test_born_eigenstate(perturbed, perturbed_nu):
+def test_born_eigenstate(perturbed, perturbed_an):
     phis, projs = gates.eigenphase_groups(gates.pair_operator(perturbed, (0, 1)))
     v = principal(projs[0])
     rng = np.random.default_rng(2)
-    rep = meas.born_statistics(np.outer(v, v.conj()), perturbed, perturbed_nu, (0, 1),
+    rep = meas.born_statistics(np.outer(v, v.conj()), perturbed_an, (0, 1),
                                trials=200, n_m=300, rng=rng)
     assert rep.frequencies[0] == pytest.approx(1.0)
 
 
-def test_born_completely_mixed(perturbed, perturbed_nu):
+def test_born_completely_mixed(perturbed_an):
     rng = np.random.default_rng(3)
-    rep = meas.born_statistics(np.eye(2) / 2, perturbed, perturbed_nu, (0, 1),
+    rep = meas.born_statistics(np.eye(2) / 2, perturbed_an, (0, 1),
                                trials=4000, n_m=300, rng=rng)
     assert np.all(np.abs(rep.frequencies - 0.5) <= 3 * np.sqrt(0.25 / 4000))
 
 
-def test_born_methods_agree(perturbed, perturbed_nu, perturbed_fix):
+def test_born_methods_agree(perturbed, perturbed_an):
     # the vectorized filter dynamics and the full virtual-space sampler draw
     # from the same distribution
     phis, projs = gates.eigenphase_groups(gates.pair_operator(perturbed, (0, 1)))
     sigma = 0.7 * projs[0] + 0.3 * projs[1]
-    rep_f = meas.born_statistics(sigma, perturbed, perturbed_nu, (0, 1), trials=400,
+    rep_f = meas.born_statistics(sigma, perturbed_an, (0, 1), trials=400,
                                  n_m=200, rng=np.random.default_rng(4), method="filter")
-    rep_v = meas.born_statistics(sigma, perturbed, perturbed_nu, (0, 1), trials=120,
-                                 n_m=200, rng=np.random.default_rng(5), method="virtual",
-                                 fix=perturbed_fix)
+    rep_v = meas.born_statistics(sigma, perturbed_an, (0, 1), trials=120,
+                                 n_m=200, rng=np.random.default_rng(5), method="virtual")
     sig = np.sqrt(0.7 * 0.3) * np.sqrt(1 / 400 + 1 / 120)
     assert abs(rep_f.frequencies[0] - rep_v.frequencies[0]) <= 4 * sig
 
@@ -284,7 +283,7 @@ def test_estimator_std_scaling():
         assert 0.5 * formula <= sd <= 2.0 * formula
 
 
-def test_changeover_unitary_to_projective(perturbed, perturbed_nu, perturbed_fix):
+def test_changeover_unitary_to_projective(perturbed, perturbed_an):
     # alpha ~ 1/N_M: unitary (purity preserved); alpha = pi/4: projective
     # (eigenbasis dephasing); output entropy grows monotonically in between
     n_m = 400
@@ -294,7 +293,7 @@ def test_changeover_unitary_to_projective(perturbed, perturbed_nu, perturbed_fix
     sigma = np.outer(psi, psi.conj())
 
     def entropy_after(alpha):
-        ch = gates.step_channel(perturbed, perturbed_nu, (0, 1), alpha, 0.0, fix=perturbed_fix)
+        ch = gates.step_channel(perturbed_an, (0, 1), alpha, 0.0)
         out = ch.power(n_m).apply(sigma)
         w = np.clip(np.linalg.eigvalsh((out + out.conj().T) / 2), 1e-16, None)
         w = w / w.sum()
@@ -308,31 +307,31 @@ def test_changeover_unitary_to_projective(perturbed, perturbed_nu, perturbed_fix
     assert purity >= 1 - 20.0 / n_m
 
 
-def test_initialize_identity_case(perturbed, perturbed_nu, perturbed_fix):
+def test_initialize_identity_case(perturbed, perturbed_an):
     phis, projs = gates.eigenphase_groups(gates.pair_operator(perturbed, (0, 1)))
     v = principal(projs[1])
     rng = np.random.default_rng(8)
-    res = meas.initialize(np.outer(v, v.conj()), perturbed, perturbed_nu, (0, 1), 1,
-                          rng, n_m=400, fix=perturbed_fix)
+    res = meas.initialize(np.outer(v, v.conj()), perturbed_an, (0, 1), 1,
+                          rng, n_m=400)
     assert res.measured_index == 1
     assert res.correction.steps == ()
     assert res.fidelity > 0.999
 
 
-def test_initialize_mixed_input(perturbed, perturbed_nu, perturbed_fix):
+def test_initialize_mixed_input(perturbed_an):
     rng = np.random.default_rng(9)
-    res = meas.initialize(np.eye(2) / 2, perturbed, perturbed_nu, (0, 1), 0,
-                          rng, n_m=3200, budget=5e-3, fix=perturbed_fix)
+    res = meas.initialize(np.eye(2) / 2, perturbed_an, (0, 1), 0,
+                          rng, n_m=3200, budget=5e-3)
     assert res.fidelity >= 0.99
 
 
-def test_initialize_correction_path(perturbed, perturbed_nu, perturbed_fix):
+def test_initialize_correction_path(perturbed, perturbed_an):
     # start in eigenstate 0, ask for eigenstate 1: the compiled rotation must fire
     phis, projs = gates.eigenphase_groups(gates.pair_operator(perturbed, (0, 1)))
     v = principal(projs[0])
     rng = np.random.default_rng(10)
-    res = meas.initialize(np.outer(v, v.conj()), perturbed, perturbed_nu, (0, 1), 1,
-                          rng, n_m=800, budget=5e-3, fix=perturbed_fix)
+    res = meas.initialize(np.outer(v, v.conj()), perturbed_an, (0, 1), 1,
+                          rng, n_m=800, budget=5e-3)
     assert res.measured_index == 0
     assert len(res.correction.steps) >= 1
     assert res.fidelity >= 0.99
@@ -340,12 +339,11 @@ def test_initialize_correction_path(perturbed, perturbed_nu, perturbed_fix):
 
 def test_initialize_needs_qubit(cluster3):
     # corrections are compiled for qubit logical spaces only
-    nu3 = channel.nu_matrix(cluster3)
     phis, projs = gates.eigenphase_groups(gates.pair_operator(cluster3, (0, 1)))
     v = principal(projs[0])
     rng = np.random.default_rng(11)
     with pytest.raises(ClosureTooSmall):
-        meas.initialize(np.outer(v, v.conj()), cluster3, nu3, (0, 1), 2, rng, n_m=200)
+        meas.initialize(np.outer(v, v.conj()), channel.analyze(cluster3), (0, 1), 2, rng, n_m=200)
 
 
 def test_measurement_cost_example(cluster2_nu):
@@ -365,32 +363,32 @@ def test_measurement_cost_zero_offdiagonal():
         meas.measurement_cost(params, 1.0, 0.1)
 
 
-def test_estimate_nu_small(perturbed, perturbed_fix, perturbed_nu):
+def test_estimate_nu_small(perturbed_nu, perturbed_an):
     rng = np.random.default_rng(12)
-    est = meas.estimate_nu(perturbed, 20_000, rng, fix=perturbed_fix)
+    est = meas.estimate_nu(perturbed_an, 20_000, rng)
     assert np.all(np.abs(est.diag - est.diag_truth) <= 4 * np.maximum(est.diag_sigma, 1e-4))
     assert abs(est.abs_nu10 - est.abs_nu10_truth) / est.abs_nu10_truth < 0.1
 
 
-def test_tuned_measurement_matches_eigenphase(perturbed, perturbed_nu, perturbed_fix):
+def test_tuned_measurement_matches_eigenphase(perturbed, perturbed_an):
     phis, projs = gates.eigenphase_groups(gates.pair_operator(perturbed, (0, 1)))
     v = principal(projs[1])
     rng = np.random.default_rng(13)
-    res = meas.measure_observable_tuned(np.outer(v, v.conj()), perturbed, perturbed_nu,
-                                        (0, 1), 600, np.pi / 4, rng, fix=perturbed_fix)
+    res = meas.measure_observable_tuned(np.outer(v, v.conj()), perturbed_an,
+                                        (0, 1), 600, np.pi / 4, rng)
     assert res.matched_index == 1
     assert abs(np.angle(np.exp(1j * (res.phi_hat - phis[1])))) < 0.25
     assert sum(res.counts) <= 600
 
 
-def test_weak_step_rest_outcome_no_filtering(perturbed, perturbed_nu, perturbed_fix):
+def test_weak_step_rest_outcome_no_filtering(perturbed, perturbed_nu, perturbed_fix, perturbed_an):
     # outcomes outside the pair multiply the state by nu_kk and nothing else
     rng = np.random.default_rng(14)
     sigma = random_density(2, rng)
     state = channel.VirtualState.product(sigma, perturbed_fix.rho)
     basis = meas.MeasurementBasis((0, 1), 0.7, meas.BasisVariant.GENERAL, beta=0.4)
-    engine = meas.WeakStepEngine.build(perturbed, basis)
-    outs = engine.outcome_states(state)
+    ops = basis.virtual_ops(perturbed)
+    outs = meas.outcome_states(state, perturbed_an, ops)
     for k in (2, 3):
         weight = np.trace(outs[k]).real
         assert weight == pytest.approx(perturbed_nu.nu[k, k].real, abs=1e-10)

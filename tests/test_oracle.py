@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from sptmbqc import channel, gates, model, oracle
+from sptmbqc import channel, cli, gates, model, oracle
 from sptmbqc.errors import SizeCapExceeded
 from conftest import random_state
 
@@ -67,18 +69,18 @@ def test_wire_marginal_formula(perturbed):
     assert devs["procedure_ii_invariance"] < 1e-12
 
 
-def test_gate_step_cross_engine(perturbed):
+def test_gate_step_cross_engine(perturbed_an):
     rng = np.random.default_rng(3)
     l = random_state(2, rng)
     j = random_state(2, rng)
-    dev = oracle.scenario_gate_step(perturbed, 6, np.kron(l, j), (0, 1), 0.05, np.pi / 2)
+    dev = oracle.scenario_gate_step(perturbed_an, 6, np.kron(l, j), (0, 1), 0.05, np.pi / 2)
     assert dev["gate_step_state"] < 1e-10
 
 
-def test_weak_step_cross_engine(perturbed):
+def test_weak_step_cross_engine(perturbed_an):
     rng = np.random.default_rng(4)
     L = np.kron(random_state(2, rng), random_state(2, rng))
-    dev = oracle.scenario_weak_step(perturbed, 6, L, (0, 1), 0.7, 0.3)
+    dev = oracle.scenario_weak_step(perturbed_an, 6, L, (0, 1), 0.7, 0.3)
     assert dev["weak_step_probs"] < 1e-10
     assert dev["weak_step_states"] < 1e-10
 
@@ -149,3 +151,18 @@ def test_procedure_i_per_record_byproduct(cluster2):
         got = rows[s] / np.linalg.norm(rows[s])
         phase = got.conj() @ expect
         np.testing.assert_allclose(got * phase / abs(phase), expect, atol=1e-12)
+
+
+@given(D=st.sampled_from([2, 3]), junk_dim=st.integers(1, 4),
+       strength=st.floats(0.1, 0.6), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=25, deadline=None)
+def test_conformance_random_models(D, junk_dim, strength, seed):
+    # the dense oracle pins the bond-space engines (and their shared wire map)
+    # on random in-phase models, not only the fixtures
+    try:
+        point = model.perturb_point(model.build_cluster_point(D), strength, junk_dim, seed)
+        rep = oracle.conformance_suite(point, 6 if D == 2 else 4, np.random.default_rng(seed),
+                                       samples=1000)
+    except cli._NUMERICAL_ERRORS:
+        assume(False)
+    assert rep.max_deviation <= 1e-10

@@ -10,8 +10,8 @@ def wire_program(n):
     return gates.GateProgram((gates.WireStep(n),))
 
 
-def test_cluster_wire_uniform_outcomes(cluster2):
-    cfg = traj.RunConfig(point=cluster2, program=wire_program(5),
+def test_cluster_wire_uniform_outcomes(cluster2_an):
+    cfg = traj.RunConfig(analysis=cluster2_an, program=wire_program(5),
                          procedure=traj.Procedure.PROCEDURE_I)
     engine = traj.TrajectoryEngine(cfg)
     trials = 3000
@@ -21,8 +21,8 @@ def test_cluster_wire_uniform_outcomes(cluster2):
     assert np.all(np.abs(freqs - 0.25) <= 3 * np.sqrt(0.25 * 0.75 / (5 * trials)))
 
 
-def test_sample_run_deterministic(perturbed):
-    cfg = traj.RunConfig(point=perturbed, program=wire_program(8), seed=42,
+def test_sample_run_deterministic(perturbed_an):
+    cfg = traj.RunConfig(analysis=perturbed_an, program=wire_program(8), seed=42,
                          procedure=traj.Procedure.PROCEDURE_I)
     a = traj.sample_run(cfg)
     b = traj.sample_run(cfg)
@@ -30,19 +30,19 @@ def test_sample_run_deterministic(perturbed):
     np.testing.assert_array_equal(a.final_state.rho, b.final_state.rho)
 
 
-def test_byproduct_bookkeeping(perturbed):
-    cfg = traj.RunConfig(point=perturbed, program=wire_program(10), seed=5,
+def test_byproduct_bookkeeping(perturbed, perturbed_an):
+    cfg = traj.RunConfig(analysis=perturbed_an, program=wire_program(10), seed=5,
                          procedure=traj.Procedure.PROCEDURE_I)
     rec = traj.sample_run(cfg)
     np.testing.assert_allclose(
         rec.byproduct, traj.byproduct_from_outcomes(perturbed, rec.outcomes), atol=1e-12)
 
 
-def test_procedure_ii_logical_invariance(perturbed):
+def test_procedure_ii_logical_invariance(perturbed_an):
     l = np.array([0.6, 0.8j])
     j = np.array([1.0, 0.4 - 0.3j])
     j = j / np.linalg.norm(j)
-    cfg = traj.RunConfig(point=perturbed, program=wire_program(6),
+    cfg = traj.RunConfig(analysis=perturbed_an, program=wire_program(6),
                          procedure=traj.Procedure.PROCEDURE_II, left_boundary=np.kron(l, j))
     engine = traj.TrajectoryEngine(cfg)
     logicals = [rec.final_state.logical_state()
@@ -51,8 +51,8 @@ def test_procedure_ii_logical_invariance(perturbed):
         np.testing.assert_allclose(x, logicals[0], atol=1e-12)
 
 
-def test_procedure_iii_erases_record(perturbed):
-    cfg = traj.RunConfig(point=perturbed, program=wire_program(6),
+def test_procedure_iii_erases_record(perturbed_an):
+    cfg = traj.RunConfig(analysis=perturbed_an, program=wire_program(6),
                          procedure=traj.Procedure.PROCEDURE_III, seed=1)
     rec = traj.sample_run(cfg)
     assert rec.outcomes is None
@@ -60,47 +60,47 @@ def test_procedure_iii_erases_record(perturbed):
     assert rec.outcome_counts.sum() == 6
 
 
-def test_exact_path_sum_equals_oblivious_wire(perturbed):
+def test_exact_path_sum_equals_oblivious_wire(perturbed_an):
     rng = np.random.default_rng(2)
     L = random_state(4, rng)
-    cfg = traj.RunConfig(point=perturbed, program=wire_program(4), left_boundary=L)
+    cfg = traj.RunConfig(analysis=perturbed_an, program=wire_program(4), left_boundary=L)
     ps = traj.add_paths(cfg, exact=True)
     expected = channel.oblivious_wire(
-        channel.VirtualState.from_boundary_vector(L, 2, 2), perturbed, 4)
+        channel.VirtualState.from_boundary_vector(L, 2, 2), perturbed_an, 4)
     assert ps.n_paths == 4 ** 4
     assert np.max(np.abs(ps.state.rho - expected.rho)) < 1e-14
 
 
-def test_exact_path_sum_cluster(cluster2):
+def test_exact_path_sum_cluster(cluster2_an):
     rng = np.random.default_rng(3)
     L = random_state(2, rng)
-    cfg = traj.RunConfig(point=cluster2, program=wire_program(4), left_boundary=L)
+    cfg = traj.RunConfig(analysis=cluster2_an, program=wire_program(4), left_boundary=L)
     ps = traj.add_paths(cfg, exact=True)
     expected = channel.oblivious_wire(
-        channel.VirtualState.from_boundary_vector(L, 2, 1), cluster2, 4)
+        channel.VirtualState.from_boundary_vector(L, 2, 1), cluster2_an, 4)
     assert np.max(np.abs(ps.state.rho - expected.rho)) < 1e-14
 
 
-def test_sampled_add_paths_matches_channel(perturbed):
+def test_sampled_add_paths_matches_channel(perturbed_an):
     rng = np.random.default_rng(4)
     L = random_state(4, rng)
-    cfg = traj.RunConfig(point=perturbed, program=wire_program(4), left_boundary=L,
+    cfg = traj.RunConfig(analysis=perturbed_an, program=wire_program(4), left_boundary=L,
                          trials=3000, seed=11)
     ps = traj.add_paths(cfg)
     expected = channel.oblivious_wire(
-        channel.VirtualState.from_boundary_vector(L, 2, 2), perturbed, 4)
+        channel.VirtualState.from_boundary_vector(L, 2, 2), perturbed_an, 4)
     # entrywise agreement at the Monte Carlo scale
     assert np.max(np.abs(ps.state.rho - expected.rho)) < 5 * ps.stderr
 
 
-def test_sampled_convergence_rate(perturbed):
+def test_sampled_convergence_rate(perturbed_an):
     rng = np.random.default_rng(5)
     L = random_state(4, rng)
     expected = channel.oblivious_wire(
-        channel.VirtualState.from_boundary_vector(L, 2, 2), perturbed, 3).rho
+        channel.VirtualState.from_boundary_vector(L, 2, 2), perturbed_an, 3).rho
 
     def mean_err(trials, rep):
-        cfg = traj.RunConfig(point=perturbed, program=wire_program(3), left_boundary=L,
+        cfg = traj.RunConfig(analysis=perturbed_an, program=wire_program(3), left_boundary=L,
                              trials=trials, seed=1000 * rep + trials)
         ps = traj.add_paths(cfg)
         return np.linalg.norm(ps.state.rho - expected)
@@ -118,7 +118,7 @@ def test_kraus_completeness(perturbed, cluster2):
         assert np.max(np.abs(total - np.eye(total.shape[0]))) < 1e-12
 
 
-def test_boundary_equivalence_converged_runway(perturbed, perturbed_fix):
+def test_boundary_equivalence_converged_runway(perturbed, perturbed_fix, perturbed_an):
     rng = np.random.default_rng(6)
     sig = np.array([[0.8, 0.3 - 0.1j], [0.3 + 0.1j, 0.2]])
     sig /= np.trace(sig).real
@@ -130,12 +130,12 @@ def test_boundary_equivalence_converged_runway(perturbed, perturbed_fix):
     ))
     xi_bar = channel.spectrum(channel.reverse_junk_channel(perturbed)).correlation_length
     runway = max(20, int(np.ceil(30 * xi_bar)))
-    rep = traj.boundary_equivalence(perturbed, program, runway_n=runway,
+    rep = traj.boundary_equivalence(perturbed_an, program, runway_n=runway,
                                     left_boundary=left, right_boundary=right)
     assert rep.tv_exact <= 1e-8
 
 
-def test_boundary_equivalence_monotone(perturbed, perturbed_fix):
+def test_boundary_equivalence_monotone(perturbed, perturbed_fix, perturbed_an):
     rng = np.random.default_rng(7)
     sig = np.array([[0.9, 0.2], [0.2, 0.1]])
     sig = sig / np.trace(sig)
@@ -144,58 +144,58 @@ def test_boundary_equivalence_monotone(perturbed, perturbed_fix):
     program = gates.GateProgram((gates.MeasureStep((0, 2), np.pi / 4, 2, wire_n=0),))
     xi_bar = channel.spectrum(channel.reverse_junk_channel(perturbed)).correlation_length
     runways = [0, int(np.ceil(xi_bar)), int(np.ceil(5 * xi_bar)), int(np.ceil(30 * xi_bar))]
-    tvs = [traj.boundary_equivalence(perturbed, program, runway_n=r, left_boundary=left,
+    tvs = [traj.boundary_equivalence(perturbed_an, program, runway_n=r, left_boundary=left,
                                      right_boundary=right).tv_exact for r in runways]
     assert tvs[0] > 1e-3  # boundary not yet decoupled at runway zero
     # strictly decreasing until the machine floor
     assert all(tvs[i] > tvs[i + 1] or tvs[i + 1] < 1e-14 for i in range(len(tvs) - 1))
 
 
-def test_boundary_equivalence_sampled(perturbed, perturbed_fix):
+def test_boundary_equivalence_sampled(perturbed_fix, perturbed_an):
     rng = np.random.default_rng(8)
     sig = np.eye(2) / 2
     left = np.kron(sig, perturbed_fix.rho)
     right = random_state(4, rng)
     program = gates.GateProgram((gates.MeasureStep((0, 2), np.pi / 4, 30, wire_n=25),))
-    rep = traj.boundary_equivalence(perturbed, program, runway_n=40, trials=60,
+    rep = traj.boundary_equivalence(perturbed_an, program, runway_n=40, trials=60,
                                     left_boundary=left, right_boundary=right, seed=9)
     assert rep.tv_sampled is not None
     # two 60-trial empirical distributions of a (0.5, 0.5) law
     assert rep.tv_sampled <= 4 * np.sqrt(0.5 / 60)
 
 
-def test_boundary_requires_final_measurement(perturbed):
+def test_boundary_requires_final_measurement(perturbed_an):
     with pytest.raises(ValidationError):
-        traj.boundary_equivalence(perturbed, wire_program(3), runway_n=5)
+        traj.boundary_equivalence(perturbed_an, wire_program(3), runway_n=5)
 
 
-def test_completely_oblivious_fixed_point(perturbed):
-    rfp = traj.completely_oblivious_fixed_point(perturbed)
+def test_completely_oblivious_fixed_point(perturbed_an):
+    rfp = traj.completely_oblivious_fixed_point(perturbed_an)
     assert rfp.logical_deviation < 1e-10
     assert rfp.eigenvalue_gap < 1e-12
     assert rfp.forward_overlap > 1e-10
 
 
-def test_completely_oblivious_cluster(cluster2):
-    rfp = traj.completely_oblivious_fixed_point(cluster2)
+def test_completely_oblivious_cluster(cluster2_an):
+    rfp = traj.completely_oblivious_fixed_point(cluster2_an)
     assert rfp.eigenvalue == pytest.approx(1.0, abs=1e-12)
     assert rfp.logical_deviation < 1e-12
 
 
-def test_init_step_rejected_in_sampling(perturbed):
+def test_init_step_rejected_in_sampling(perturbed_an):
     program = gates.GateProgram((gates.InitStep((0, 1), 0, 100),))
-    cfg = traj.RunConfig(point=perturbed, program=program)
+    cfg = traj.RunConfig(analysis=perturbed_an, program=program)
     with pytest.raises(ValidationError):
         traj.sample_run(cfg)
 
 
-def test_measure_step_seed_stream_contract(cluster2, cluster2_nu):
+def test_measure_step_seed_stream_contract(cluster2, cluster2_an):
     # on the cluster point with no interleaved wire, the trajectory engine and
     # the measurement module consume one uniform per weak step and compute
     # identical probabilities, so identical seeds give identical outcomes
     n_m = 60
     program = gates.GateProgram((gates.MeasureStep((0, 1), np.pi / 4, n_m, wire_n=0),))
-    cfg = traj.RunConfig(point=cluster2, program=program, seed=0)
+    cfg = traj.RunConfig(analysis=cluster2_an, program=program, seed=0)
     rec = traj.sample_run(cfg, np.random.default_rng(77))
 
     rng = np.random.default_rng(77)
@@ -205,14 +205,14 @@ def test_measure_step_seed_stream_contract(cluster2, cluster2_nu):
     for half, beta_variant in ((n_m // 2, meas.BasisVariant.REAL),
                                (n_m - n_m // 2, meas.BasisVariant.IMAG)):
         basis = meas.MeasurementBasis((0, 1), np.pi / 4, beta_variant)
-        engine = meas.WeakStepEngine.build(cluster2, basis, wire_n=0)
+        ops = basis.virtual_ops(cluster2)
         for _ in range(half):
-            k, state = meas.weak_measure_step(state, cluster2, cluster2_nu, basis, rng, engine)
+            k, state = meas.weak_measure_step(state, cluster2_an, ops, rng, wire_n=0)
             outcomes.append(k)
     assert tuple(outcomes) == rec.outcomes
 
 
-def test_compose_program_matches_sampled_trajectories(perturbed, perturbed_nu, perturbed_fix):
+def test_compose_program_matches_sampled_trajectories(perturbed_fix, perturbed_an):
     # channel-level composition agrees with the Monte Carlo path sum
     program = gates.GateProgram((
         gates.GateStep((0, 1), 0.15, 0.8, wire_n=45),
@@ -221,16 +221,16 @@ def test_compose_program_matches_sampled_trajectories(perturbed, perturbed_nu, p
     rng = np.random.default_rng(14)
     v = random_state(2, rng)
     sigma0 = np.outer(v, v.conj())
-    expected = gates.compose_program(perturbed, perturbed_nu, program, fix=perturbed_fix).apply(sigma0)
-    cfg = traj.RunConfig(point=perturbed, program=program, seed=15,
+    expected = gates.compose_program(perturbed_an, program).apply(sigma0)
+    cfg = traj.RunConfig(analysis=perturbed_an, program=program, seed=15,
                          left_boundary=np.kron(sigma0, perturbed_fix.rho), trials=800)
     ps = traj.add_paths(cfg)
     dev = np.max(np.abs(ps.state.logical_state() - expected))
     assert dev < 5 * max(ps.stderr, 1e-3)
 
 
-def test_jsonl_log_roundtrip(tmp_path, perturbed):
-    cfg = traj.RunConfig(point=perturbed, program=wire_program(5), seed=3,
+def test_jsonl_log_roundtrip(tmp_path, perturbed_an):
+    cfg = traj.RunConfig(analysis=perturbed_an, program=wire_program(5), seed=3,
                          procedure=traj.Procedure.PROCEDURE_I)
     engine = traj.TrajectoryEngine(cfg)
     records = engine.sample([np.random.default_rng((3, t)) for t in range(4)])
@@ -289,15 +289,15 @@ def sample_batch(cfg, key, trials):
 def test_pinned_wire_records(perturbed, perturbed3):
     for point, n, key, pinned in ((perturbed, 12, (21,), PINNED_WIRE2),
                                   (perturbed3, 10, (22,), PINNED_WIRE3)):
-        records = sample_batch(traj.RunConfig(point=point, program=wire_program(n)), key, 3)
+        records = sample_batch(traj.RunConfig(analysis=channel.analyze(point), program=wire_program(n)), key, 3)
         assert [rec.outcomes for rec in records] == pinned
         assert all(rec.boundary_outcome is None for rec in records)
 
 
 @pytest.mark.parametrize("mode", list(traj.BoundaryMode))
-def test_pinned_measure_records(perturbed, mode):
+def test_pinned_measure_records(mode, perturbed_an):
     # no runway: the right boundary weight, and so the byproduct label, is felt most
-    cfg = traj.RunConfig(point=perturbed, program=pinned_measure_program(), boundary=mode,
+    cfg = traj.RunConfig(analysis=perturbed_an, program=pinned_measure_program(), boundary=mode,
                          right_boundary=PIN_RIGHT, left_boundary=PIN_LEFT)
     key = (23, list(traj.BoundaryMode).index(mode))
     records = sample_batch(cfg, key, 5)
@@ -309,7 +309,7 @@ def test_pinned_measure_records(perturbed, mode):
 def test_record_independent_of_batch(request, which, mode):
     point = request.getfixturevalue(which)
     rng = np.random.default_rng(31)
-    cfg = traj.RunConfig(point=point, program=pinned_measure_program(), boundary=mode,
+    cfg = traj.RunConfig(analysis=channel.analyze(point), program=pinned_measure_program(), boundary=mode,
                          procedure=traj.Procedure.PROCEDURE_I, runway_n=3,
                          right_boundary=random_state(point.Db, rng))
     engine = traj.TrajectoryEngine(cfg)
@@ -344,10 +344,10 @@ def test_draw_outcomes_rejects_vanishing_row(row):
 @pytest.mark.parametrize("field", ["left_boundary", "right_boundary"])
 @pytest.mark.parametrize("value", [np.zeros(4), np.array([1.0, np.nan, 0.0, 0.0]),
                                    np.array([np.inf, 0.0, 0.0, 0.0])])
-def test_run_config_rejects_degenerate_boundary(perturbed, field, value):
+def test_run_config_rejects_degenerate_boundary(field, value, perturbed_an):
     with pytest.raises(ValidationError):
-        traj.RunConfig(point=perturbed, program=wire_program(2),
+        traj.RunConfig(analysis=perturbed_an, program=wire_program(2),
                        boundary=traj.BoundaryMode.PHI_RUNWAY, **{field: value})
     with pytest.raises(ValidationError):
-        traj.boundary_equivalence(perturbed, pinned_measure_program(), runway_n=2,
+        traj.boundary_equivalence(perturbed_an, pinned_measure_program(), runway_n=2,
                                   trials=2, **{field: value})
