@@ -10,13 +10,15 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     DegenerateLeadingEigenvalue,
     NonPositiveFixedPoint,
+    SymmetryConditionViolated,
     ValidationError,
 )
-from .model import PhasePoint, encode_matrix
+from .model import PhasePoint, check_byproduct_symmetry, encode_matrix, weyl_symmetry_data
 
 DEGENERACY_TOL = 1e-12
 NU_TOL = 1e-10
@@ -53,6 +55,11 @@ class Channel:
     def dim(self) -> int:
         return self.kraus[0].shape[0]
 
+    @cached_property
+    def eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues and right eigenvectors of the superoperator, computed once."""
+        return np.linalg.eig(self.superop)
+
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return sum(k @ rho @ k.conj().T for k in self.kraus)
 
@@ -68,11 +75,6 @@ def junk_channel(point: PhasePoint) -> Channel:
 def reverse_junk_channel(point: PhasePoint) -> Channel:
     """Lbar(rho) = sum_i B_i^dag rho B_i (the adjoint of the junk channel)."""
     return Channel.from_kraus([b.conj().T for b in point.B])
-
-
-def full_transfer_channel(point: PhasePoint) -> Channel:
-    """E(tau) = sum_i A_i tau A_i^dag on the whole bond space."""
-    return Channel.from_kraus(point.site_tensors())
 
 
 def reverse_full_channel(point: PhasePoint) -> Channel:
@@ -136,7 +138,7 @@ def fixed_point(ch: Channel, tol: float = 1e-12) -> FixedPoint:
     Hermitian fixed point of the adjoint channel scaled so Tr(ell rho) = 1, so
     that lim L^n(X) = Tr(ell X) rho.
     """
-    w, vecs = np.linalg.eig(ch.superop)
+    w, vecs = ch.eig
     lam0 = _spectrum_of(w).eigenvalues[0]  # raises DegenerateLeadingEigenvalue when appropriate
     idx = int(np.argmax(np.abs(w)))
     rho = _hermitian_from_eigvec(vecs[:, idx])
@@ -208,6 +210,90 @@ def nu_matrix(analysis: Analysis | PhasePoint) -> NuMatrix:
     return NuMatrix(nu=nu, delta=delta)
 
 
+def pair_operator(point: PhasePoint, pair: tuple[int, int]) -> np.ndarray:
+    """C = C_i^-1 C_j for the selected basis pair."""
+    i, j = pair
+    return point.C[i].conj().T @ point.C[j]
+
+
+def eigenphase_groups(C: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Distinct eigenphases of a unitary and the projectors onto their eigenspaces."""
+    T, Q = scipy.linalg.schur(np.asarray(C, dtype=complex), output="complex")
+    phis = np.angle(np.diag(T))
+    groups: list[list[int]] = []
+    reps: list[float] = []
+    for idx, phi in enumerate(phis):
+        placed = False
+        for g, rep in enumerate(reps):
+            diff = np.angle(np.exp(1j * (phi - rep)))
+            if abs(diff) < tol:
+                groups[g].append(idx)
+                placed = True
+                break
+        if not placed:
+            groups.append([idx])
+            reps.append(phi)
+    order = np.argsort(reps)
+    out_phis = np.array([reps[g] for g in order])
+    projectors = []
+    for g in order:
+        cols = Q[:, groups[g]]
+        projectors.append(cols @ cols.conj().T)
+    return out_phis, projectors
+
+
+@dataclass(frozen=True)
+class PairFilter:
+    """The three numbers that drive one pair's filter functions."""
+
+    nu_ii: float
+    nu_jj: float
+    nu_ji: complex
+    rest: float = 0.0  # total weight of outcomes outside the pair
+
+    @classmethod
+    def from_nu(cls, nu: NuMatrix, pair: tuple[int, int]) -> "PairFilter":
+        i, j = pair
+        rest = float(sum(nu.nu[k, k].real for k in range(nu.d) if k not in pair))
+        return cls(nu_ii=float(nu.nu[i, i].real), nu_jj=float(nu.nu[j, j].real),
+                   nu_ji=complex(nu.nu[j, i]), rest=rest)
+
+    @property
+    def delta(self) -> float:
+        return float(-np.angle(self.nu_ji)) if abs(self.nu_ji) > 0 else 0.0
+
+
+def check_pair(d: int, pair) -> tuple[int, int]:
+    """The index pair (i, j) as ints, checked to name two of d outcomes with 0 <= i < j < d."""
+    i, j = pair
+    if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer)) and 0 <= i < j < d):
+        raise ValidationError(f"pair {pair} is not an index pair with 0 <= i < j <= {d - 1}")
+    return int(i), int(j)
+
+
+@dataclass(frozen=True, eq=False)
+class Pair:
+    """The pair observable C = C_i^-1 C_j of one phase point, for a checked index pair.
+
+    Eigenphases (ascending) and their projectors come from one
+    `eigenphase_groups` call; the filter numbers are read from nu on first use.
+    """
+
+    analysis: Analysis = field(repr=False)
+    index: tuple[int, int]
+    C: np.ndarray = field(repr=False)
+    eigenphases: np.ndarray
+    projectors: tuple[np.ndarray, ...] = field(repr=False)
+
+    def __post_init__(self):
+        for a in (self.C, self.eigenphases, *self.projectors):
+            a.setflags(write=False)
+
+    @cached_property
+    def filter(self) -> PairFilter:
+        return PairFilter.from_nu(self.analysis.nu, self.index)
+
+
 @dataclass(frozen=True, eq=False)
 class Analysis:
     """Everything the gates, measurements and wires of one phase point depend on.
@@ -218,6 +304,7 @@ class Analysis:
 
     point: PhasePoint
     _powers: dict = field(default_factory=dict, init=False, repr=False)
+    _pairs: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def junk(self) -> Channel:
@@ -225,8 +312,8 @@ class Analysis:
 
     @cached_property
     def xi(self) -> float:
-        """Correlation length of the junk channel."""
-        return spectrum(self.junk).correlation_length
+        """Correlation length of the junk channel, from the eigenvalues the fixed point uses."""
+        return _spectrum_of(self.junk.eig[0]).correlation_length
 
     @cached_property
     def fix(self) -> FixedPoint:
@@ -240,6 +327,27 @@ class Analysis:
     def wire_length(self) -> int:
         """Wire length after which the junk system is taken to be at its fixed point."""
         return max(WIRE_FLOOR, int(np.ceil(WIRE_XI_FACTOR * self.xi)))
+
+    @cached_property
+    def labels(self) -> tuple[tuple[int, int], ...]:
+        """Z_D x Z_D label g of each byproduct, C_i = phase * V(g): the symmetry condition.
+
+        Raises SymmetryConditionViolated, naming the byproducts that fail it.
+        """
+        report = check_byproduct_symmetry(self.point, weyl_symmetry_data(self.point.D))
+        bad = [m.index for m in report.matches if m.group_element is None]
+        if bad:
+            raise SymmetryConditionViolated(f"byproduct operators {bad} are not in the projective representation")
+        return tuple(m.group_element for m in report.matches)
+
+    def pair(self, ij) -> Pair:
+        """The pair observable of the index pair ij = (i, j), checked, and cached per pair."""
+        ij = check_pair(self.point.d, ij)
+        if ij not in self._pairs:
+            C = pair_operator(self.point, ij)
+            phis, projectors = eigenphase_groups(C)
+            self._pairs[ij] = Pair(self, ij, C, phis, tuple(projectors))
+        return self._pairs[ij]
 
     def junk_power(self, n: int) -> np.ndarray:
         """Superoperator of L^n on the junk space, cached per n."""
@@ -314,9 +422,6 @@ class VirtualState:
 
     def logical_state(self) -> np.ndarray:
         return self.rho.reshape(self.D, self.Dj, self.D, self.Dj).trace(axis1=1, axis2=3)
-
-    def junk_state(self) -> np.ndarray:
-        return self.rho.reshape(self.D, self.Dj, self.D, self.Dj).trace(axis1=0, axis2=2)
 
     @classmethod
     def from_boundary_vector(cls, L: np.ndarray, D: int, Dj: int) -> "VirtualState":

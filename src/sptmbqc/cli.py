@@ -4,7 +4,8 @@ Every run writes a manifest.json describing the command, parameters, seed, and
 model hash; every CSV cites the manifest in a comment header.  Outputs contain
 no timestamps, so identical flags and seed give byte-identical files.
 
-Exit codes: 0 ok, 2 validation failure, 3 numerical failure, 4 usage error.
+Exit codes: 0 ok, 2 validation failure (InputError), 3 numerical failure
+(NumericalFailure or a LAPACK error), 4 usage error.
 """
 
 from __future__ import annotations
@@ -18,34 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, channel, gates, measurement, model, oracle, trajectory
-from .errors import (
-    ClosureTooSmall,
-    DegenerateLeadingEigenvalue,
-    DimensionMismatch,
-    InjectivityFailure,
-    MaxDimExceeded,
-    NonPositiveFixedPoint,
-    NotInjective,
-    ParseError,
-    SchemaVersionError,
-    SizeCapExceeded,
-    SymmetryConditionViolated,
-    ValidationError,
-    VanishingProbability,
-    ZeroOffDiagonal,
-)
+from .errors import InputError, NumericalFailure, ValidationError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_USAGE = 4
-
-_VALIDATION_ERRORS = (ValidationError, ParseError, SchemaVersionError, DimensionMismatch)
-_NUMERICAL_ERRORS = (
-    DegenerateLeadingEigenvalue, NonPositiveFixedPoint, InjectivityFailure, NotInjective,
-    MaxDimExceeded, SymmetryConditionViolated, ClosureTooSmall, ZeroOffDiagonal, SizeCapExceeded,
-    VanishingProbability,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -183,7 +162,7 @@ def cmd_run_wire(args) -> int:
 def cmd_run_gate(args) -> int:
     analysis = channel.analyze(model.load_model(Path(args.model)))
     analysis.nu  # fail on the nu invariants before any output is written
-    pair = tuple(args.pair)
+    pair = channel.check_pair(analysis.point.d, args.pair)
     rd = RunDir(args.out, "run gate", _params(args), args.seed, Path(args.model))
     rows = []
     for n in args.n_steps:
@@ -199,11 +178,10 @@ def cmd_run_gate(args) -> int:
 
 
 def cmd_run_measure(args) -> int:
-    point = model.load_model(Path(args.model))
-    nu = channel.analyze(point).nu
-    pair = tuple(args.pair)
-    params = measurement.PairFilter.from_nu(nu, pair)
-    phis, _ = gates.eigenphase_groups(gates.pair_operator(point, pair))
+    analysis = channel.analyze(model.load_model(Path(args.model)))
+    analysis.nu  # fail on the nu invariants before the pair is checked
+    pair = analysis.pair(args.pair)
+    params, phis = pair.filter, pair.eigenphases
     pops = np.full(len(phis), 1.0 / len(phis))
     rng = np.random.default_rng(args.seed)
     schedule = [(args.nm // 2, 0.0), (args.nm - args.nm // 2, np.pi / 2)]
@@ -224,7 +202,7 @@ def cmd_run_measure(args) -> int:
         grid = np.linspace(-np.pi, np.pi, 513)
         rows = []
         for n0, n1 in ((1, 1), (5, 5), (50, 50)):
-            curve = measurement.accumulated_filter(params, args.alpha, n0, n1, grid, pair=pair)
+            curve = measurement.accumulated_filter(params, args.alpha, n0, n1, grid, pair=pair.index)
             rows.extend((n0, n1, p, c) for p, c in zip(grid, curve))
         rd.csv("filter_curves.csv", ["n0", "n1", "phi_rad", "filter_normalized"], rows)
     rd.finish()
@@ -254,17 +232,16 @@ def cmd_run_nu(args) -> int:
 
 
 def cmd_run_born(args) -> int:
-    point = model.load_model(Path(args.model))
-    analysis = channel.analyze(point)
+    analysis = channel.analyze(model.load_model(Path(args.model)))
     analysis.nu  # fail on the nu invariants before the state is checked
-    pair = tuple(args.pair)
+    pair = analysis.pair(args.pair)
     weights = [float(x) for x in args.state.split(",")]
-    phis, projectors = gates.eigenphase_groups(gates.pair_operator(point, pair))
-    if len(weights) != len(phis):
-        raise ValidationError(f"state has {len(weights)} weights, observable has {len(phis)} eigenphases")
-    sigma = sum(w * (p @ p) / np.trace(p @ p).real for w, p in zip(weights, projectors))
+    if len(weights) != len(pair.eigenphases):
+        raise ValidationError(f"state has {len(weights)} weights, "
+                              f"observable has {len(pair.eigenphases)} eigenphases")
+    sigma = sum(w * (p @ p) / np.trace(p @ p).real for w, p in zip(weights, pair.projectors))
     rng = np.random.default_rng(args.seed)
-    rep = measurement.born_statistics(sigma, analysis, pair, args.trials, args.nm, rng)
+    rep = measurement.born_statistics(sigma, analysis, pair.index, args.trials, args.nm, rng)
     rd = RunDir(args.out, "run born", _params(args), args.seed, Path(args.model))
     rd.csv("born.csv",
            ["eigenphase_rad", "frequency", "born_probability", "binomial_sigma"],
@@ -438,10 +415,10 @@ def main(argv=None) -> int:
             parser.error(f"cannot parse group tag {args.group!r}; pass --D")
     try:
         return args.func(args)
-    except _VALIDATION_ERRORS as exc:
+    except InputError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except _NUMERICAL_ERRORS as exc:
+    except (NumericalFailure, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

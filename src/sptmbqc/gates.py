@@ -12,11 +12,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .channel import Analysis, NuMatrix, unvec, vec
-from .errors import ClosureTooSmall, MaxDimExceeded, SymmetryConditionViolated, ValidationError
-from .model import PhasePoint, check_byproduct_symmetry, weyl_symmetry_data
+# eigenphase_groups stays importable from here; channel.Analysis.pair is its one caller
+from .channel import Analysis, check_pair, eigenphase_groups, pair_operator, unvec, vec  # noqa: F401
+from .errors import ClosureTooSmall, MaxDimExceeded, ValidationError
+from .model import PhasePoint
 
 DALPHA_SOFT_CAP = 0.2
 
@@ -39,9 +39,6 @@ class GateStep:
     repeats: int = 1
 
     def __post_init__(self):
-        i, j = self.pair
-        if not 0 <= i < j:
-            raise ValidationError(f"gate pair must satisfy 0 <= i < j, got {self.pair}")
         if abs(self.dalpha) > DALPHA_SOFT_CAP:
             warnings.warn(f"|dalpha| = {abs(self.dalpha):.3f} exceeds the small-angle cap {DALPHA_SOFT_CAP}")
 
@@ -135,12 +132,6 @@ class GateProgram:
 
 # ---------------------------------------------------------------------------
 # generator set and Lie closure
-
-def pair_operator(point: PhasePoint, pair: tuple[int, int]) -> np.ndarray:
-    """C = C_i^-1 C_j for the selected basis pair."""
-    i, j = pair
-    return point.C[i].conj().T @ point.C[j]
-
 
 def generator_set(point: PhasePoint) -> list[np.ndarray]:
     """Hermitian combinations (C + C^dag)/2 and (C - C^dag)/2i for all pairs i < j."""
@@ -263,15 +254,14 @@ def trace_preservation_defect(ch: LogicalChannel) -> float:
     return float(np.max(np.abs(tp - np.eye(D))))
 
 
-def choi_fidelity(a: LogicalChannel, b: LogicalChannel) -> float:
-    """Uhlmann fidelity of the normalized Choi states."""
-    ja = choi_matrix(a) / a.D
-    jb = choi_matrix(b) / b.D
-    wa, va = np.linalg.eigh((ja + ja.conj().T) / 2)
-    sq = va @ np.diag(np.sqrt(np.clip(wa, 0, None))) @ va.conj().T
-    inner = sq @ ((jb + jb.conj().T) / 2) @ sq
-    wi = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
-    return float(np.sum(np.sqrt(np.clip(wi, 0, None))) ** 2)
+def choi_fidelity(ch: LogicalChannel, U: np.ndarray) -> float:
+    """Fidelity <psi| J |psi> of the normalized Choi state J of ch with the pure Choi state of U.
+
+    For a unitary target this equals the Uhlmann fidelity, without its matrix
+    square roots, whose rounding near a pure state costs ~1e-8.
+    """
+    psi = U.T.reshape(-1) / np.sqrt(ch.D)  # the Choi matrix of U is D psi psi^dag
+    return float((psi.conj() @ choi_matrix(ch) @ psi).real / ch.D)
 
 
 def validate_channel(ch: LogicalChannel, tp_tol: float = 1e-10, cp_tol: float = 1e-10) -> None:
@@ -292,9 +282,7 @@ def basis_matrix(d: int, pair: tuple[int, int], alpha: float, beta: float) -> np
     Column i: cos(a)|i> + e^{i b} sin(a)|j>;  column j: sin(a)|i> - e^{i b} cos(a)|j>;
     remaining columns stay in the wire basis.
     """
-    i, j = pair
-    if not 0 <= i < j < d:
-        raise ValidationError(f"pair {pair} is not an index pair with 0 <= i < j <= {d - 1}")
+    i, j = check_pair(d, pair)
     u = np.eye(d, dtype=complex)
     ca, sa, ph = np.cos(alpha), np.sin(alpha), np.exp(1j * beta)
     u[i, i] = ca
@@ -396,28 +384,16 @@ def rotation_step_channel(
     )
 
 
-def pair_off_diagonal(nu: NuMatrix, pair: tuple[int, int]) -> complex:
-    """nu_ji, the coupling that sets the rotation speed and phase for this pair."""
-    i, j = pair
-    return complex(nu.nu[j, i])
-
-
-def rotation_generator(nu: NuMatrix, C: np.ndarray, pair: tuple[int, int], beta: float,
-                       variant: str = "deterministic") -> np.ndarray:
-    """Hermitian generator |nu_ji| (e^{-i(beta+delta)} C - h.c.)/i of the realized rotation."""
-    off = pair_off_diagonal(nu, pair)
-    delta = -np.angle(off) if abs(off) > 0 else 0.0
-    m = abs(off) * np.exp(-1j * (beta + delta)) * C
-    h = (m - m.conj().T) / 1j
-    if variant == "heralded":
-        i, j = pair
-        h = h / (nu.nu[i, i].real + nu.nu[j, j].real)
-    return h
-
-
 def rotation_target_unitary(analysis: Analysis, pair: tuple[int, int],
                             alpha: float, beta: float, variant: str = "deterministic") -> np.ndarray:
-    h = rotation_generator(analysis.nu, pair_operator(analysis.point, pair), pair, beta, variant)
+    """exp(i alpha h) for the Hermitian generator h = |nu_ji| (e^{-i(beta+delta)} C - h.c.)/i
+    of the realized rotation; the heralded variant divides h by nu_ii + nu_jj."""
+    obs = analysis.pair(pair)
+    f = obs.filter
+    m = abs(f.nu_ji) * np.exp(-1j * (beta + f.delta)) * obs.C
+    h = (m - m.conj().T) / 1j
+    if variant == "heralded":
+        h = h / (f.nu_ii + f.nu_jj)
     w, v = np.linalg.eigh(h)
     return v @ np.diag(np.exp(1j * alpha * w)) @ v.conj().T
 
@@ -442,45 +418,17 @@ def finite_rotation(
     """Finite-angle rotation as N small steps of dalpha = alpha/N, with its distance to the target."""
     if N < 1:
         raise ValidationError("N must be >= 1")
+    if not (np.isfinite(alpha) and np.isfinite(beta)):
+        raise ValidationError(f"rotation angles must be finite, got alpha={alpha}, beta={beta}")
     step = step_channel(analysis, pair, np.arctan(alpha / N), beta, wire_n=wire_n, variant=variant)
     chan = step.power(N)
     target = rotation_target_unitary(analysis, pair, alpha, beta, variant)
-    tgt_chan = unitary_channel(target)
     return FiniteRotation(
         channel=chan,
         target=target,
-        distance=channel_distance(chan, tgt_chan),
-        choi_fid=choi_fidelity(chan, tgt_chan),
+        distance=channel_distance(chan, unitary_channel(target)),
+        choi_fid=choi_fidelity(chan, target),
     )
-
-
-# ---------------------------------------------------------------------------
-# eigenphase utilities (shared with measurement and trajectory modules)
-
-def eigenphase_groups(C: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Distinct eigenphases of a unitary and the projectors onto their eigenspaces."""
-    T, Q = scipy.linalg.schur(np.asarray(C, dtype=complex), output="complex")
-    phis = np.angle(np.diag(T))
-    groups: list[list[int]] = []
-    reps: list[float] = []
-    for idx, phi in enumerate(phis):
-        placed = False
-        for g, rep in enumerate(reps):
-            diff = np.angle(np.exp(1j * (phi - rep)))
-            if abs(diff) < tol:
-                groups[g].append(idx)
-                placed = True
-                break
-        if not placed:
-            groups.append([idx])
-            reps.append(phi)
-    order = np.argsort(reps)
-    out_phis = np.array([reps[g] for g in order])
-    projectors = []
-    for g in order:
-        cols = Q[:, groups[g]]
-        projectors.append(cols @ cols.conj().T)
-    return out_phis, projectors
 
 
 # ---------------------------------------------------------------------------
@@ -495,14 +443,14 @@ def nonselective_measurement_channel(analysis: Analysis, step: MeasureStep) -> L
     return imag.power(n_imag).compose(real.power(n_real))
 
 
-def init_channel(point: PhasePoint, step: InitStep) -> LogicalChannel:
+def init_channel(analysis: Analysis, step: InitStep) -> LogicalChannel:
     """Idealized init block: projective pair measurement plus the exact corrective unitary.
 
     The sampled protocol (measurement module) uses the compiled corrections; at
     channel level the large-n_m limit is represented by projectors.
     """
-    C = pair_operator(point, step.pair)
-    phis, projectors = eigenphase_groups(C)
+    point, pair = analysis.point, analysis.pair(step.pair)
+    phis, projectors = pair.eigenphases, pair.projectors
     if step.target_index >= len(phis):
         raise ValidationError(f"target_index {step.target_index} out of range for {len(phis)} eigenphases")
     if point.D != 2 or len(phis) != 2:
@@ -539,11 +487,8 @@ def compose_program(
     (phases times) elements of the Heisenberg-Weyl representation, which is the
     condition that makes the basis rewriting possible.
     """
+    analysis.labels  # the symmetry condition, checked before any step
     point = analysis.point
-    report = check_byproduct_symmetry(point, weyl_symmetry_data(point.D))
-    if not report.passed:
-        bad = [m.index for m in report.matches if m.group_element is None]
-        raise SymmetryConditionViolated(f"byproduct operators {bad} are not in the projective representation")
     total = identity_channel(point.D)
     for step in program.steps:
         if isinstance(step, GateStep):
@@ -553,7 +498,7 @@ def compose_program(
         elif isinstance(step, MeasureStep):
             ch = nonselective_measurement_channel(analysis, step)
         elif isinstance(step, InitStep):
-            ch = init_channel(point, step)
+            ch = init_channel(analysis, step)
         elif isinstance(step, WireStep):
             ch = identity_channel(point.D)  # wire acts as identity on the logical factor
         else:
@@ -602,7 +547,7 @@ def available_axes(analysis: Analysis) -> dict[str, PauliAxis]:
             rest = sum(m for k, m in mags.items() if k != key)
             if mags[key] < 1 - 1e-10 or rest > 1e-10:
                 continue
-            off = pair_off_diagonal(analysis.nu, (i, j))
+            off = complex(analysis.nu.nu[j, i])  # nu_ji sets the rotation speed and phase
             if abs(off) < 1e-12:
                 continue
             axis = PauliAxis(pair=(i, j), key=key, gamma=float(np.angle(coeffs[key])),
@@ -633,10 +578,6 @@ def _su2_to_so3(U: np.ndarray) -> np.ndarray:
         for b, kb in enumerate(keys):
             r[a, b] = 0.5 * np.trace(_PAULI[ka] @ u @ _PAULI[kb] @ u.conj().T).real
     return r
-
-
-def _pauli_rotation(key: str, theta: float) -> np.ndarray:
-    return np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * _PAULI[key]
 
 
 def _euler_angles(target: np.ndarray, k1: str, k2: str) -> tuple[float, float, float]:

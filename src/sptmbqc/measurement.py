@@ -21,7 +21,7 @@ import numpy as np
 import scipy.optimize
 
 from . import gates
-from .channel import Analysis, NuMatrix, VirtualState
+from .channel import Analysis, PairFilter, VirtualState
 from .errors import ClosureTooSmall, ValidationError, ZeroOffDiagonal
 from .model import PhasePoint
 
@@ -55,27 +55,6 @@ class MeasurementBasis:
     def virtual_ops(self, point: PhasePoint) -> list[np.ndarray]:
         """Byproduct-corrected per-outcome virtual actions of one site in this basis."""
         return gates.step_virtual_ops(point, self.pair, self.alpha, self.effective_beta)
-
-
-@dataclass(frozen=True)
-class PairFilter:
-    """The three numbers that drive one pair's filter functions."""
-
-    nu_ii: float
-    nu_jj: float
-    nu_ji: complex
-    rest: float = 0.0  # total weight of outcomes outside the pair
-
-    @classmethod
-    def from_nu(cls, nu: NuMatrix, pair: tuple[int, int]) -> "PairFilter":
-        i, j = pair
-        rest = float(sum(nu.nu[k, k].real for k in range(nu.d) if k not in pair))
-        return cls(nu_ii=float(nu.nu[i, i].real), nu_jj=float(nu.nu[j, j].real),
-                   nu_ji=complex(nu.nu[j, i]), rest=rest)
-
-    @property
-    def delta(self) -> float:
-        return float(-np.angle(self.nu_ji)) if abs(self.nu_ji) > 0 else 0.0
 
 
 def _pair_filter(nu, pair) -> PairFilter:
@@ -253,8 +232,8 @@ def measure_observable(
         virt = state
     else:
         virt = VirtualState.product(np.asarray(state, dtype=complex), analysis.fix.rho)
-    params = PairFilter.from_nu(analysis.nu, pair)
-    eigenphases, _ = gates.eigenphase_groups(gates.pair_operator(analysis.point, pair))
+    obs = analysis.pair(pair)
+    params, eigenphases = obs.filter, obs.eigenphases
 
     halves = [
         (BasisVariant.REAL, n_m // 2),
@@ -305,8 +284,8 @@ def measure_observable_tuned(
     coarse = measure_observable(state, analysis, pair, n_coarse, alpha, rng, wire_n=wire_n)
     if np.isnan(coarse.phi_hat) or n_fine < 1:
         return coarse
-    params = PairFilter.from_nu(analysis.nu, pair)
-    eigenphases, _ = gates.eigenphase_groups(gates.pair_operator(analysis.point, pair))
+    obs = analysis.pair(pair)
+    params, eigenphases = obs.filter, obs.eigenphases
     beta_star = coarse.phi_hat - params.delta - np.pi / 2
     basis = MeasurementBasis(pair=pair, alpha=alpha, variant=BasisVariant.GENERAL, beta=beta_star)
     (n0, n1), rest, virt = _weak_counts(coarse.post_state, analysis, basis, n_fine, rng, wire_n)
@@ -401,10 +380,10 @@ def born_statistics(
     method: str = "filter",
 ) -> BornReport:
     """Empirical distribution of measurement outcomes over fresh copies of sigma."""
-    C = gates.pair_operator(analysis.point, pair)
-    eigenphases, projectors = gates.eigenphase_groups(C)
-    born = np.array([np.trace(p @ sigma).real for p in projectors])
-    params = PairFilter.from_nu(analysis.nu, pair)
+    obs = analysis.pair(pair)
+    eigenphases = obs.eigenphases
+    born = np.array([np.trace(p @ sigma).real for p in obs.projectors])
+    params = obs.filter
     if method == "filter":
         pops = np.array([max(b, 0.0) for b in born])
         schedule = [(n_m // 2, 0.0), (n_m - n_m // 2, np.pi / 2)]
@@ -447,9 +426,8 @@ def initialize(
 ) -> InitializationResult:
     """Measure the pair observable, then rotate the obtained eigenstate onto the target."""
     point = analysis.point
-    C = gates.pair_operator(point, pair)
-    eigenphases, projectors = gates.eigenphase_groups(C)
-    if target_index >= len(eigenphases):
+    projectors = analysis.pair(pair).projectors
+    if target_index >= len(projectors):
         raise ValidationError(f"target_index {target_index} out of range")
     result = measure_observable(state, analysis, pair, n_m, alpha, rng)
     sigma = result.post_state.logical_state()
@@ -537,7 +515,7 @@ def estimate_nu(
     if probe_axis is None:
         raise ClosureTooSmall("no anticommuting probe axis available for the off-diagonal self-test"
                               " (Pauli probe axes need a qubit logical space, D=2)")
-    _, projectors = gates.eigenphase_groups(gates.pair_operator(point, probe_axis.pair))
+    projectors = analysis.pair(probe_axis.pair).projectors
     ref = gates.principal_vector(projectors[0])
     sigma_ref = np.outer(ref, ref.conj())
 

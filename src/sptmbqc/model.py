@@ -211,7 +211,6 @@ class SymmetryData:
     D: int
     V: dict = field(repr=False)
     u: dict = field(repr=False)
-    byproduct_index: dict = field(repr=False)
 
 
 def weyl_symmetry_data(D: int) -> SymmetryData:
@@ -222,13 +221,12 @@ def weyl_symmetry_data(D: int) -> SymmetryData:
     """
     omega = np.exp(2j * np.pi / D)
     V = {(a, b): weyl_unitary(D, a, b) for a in range(D) for b in range(D)}
-    byproduct_index = {a * D + b: (a, b) for a in range(D) for b in range(D)}
     u = {}
     for a in range(D):
         for b in range(D):
             phases = [omega ** ((a * bh - b * ah) % D) for ah in range(D) for bh in range(D)]
             u[(a, b)] = np.diag(np.array(phases, dtype=complex))
-    return SymmetryData(group=f"Z{D}xZ{D}", D=D, V=V, u=u, byproduct_index=byproduct_index)
+    return SymmetryData(group=f"Z{D}xZ{D}", D=D, V=V, u=u)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from .channel import (
     reverse_junk_channel,
 )
 from .errors import DegenerateLeadingEigenvalue, ValidationError, VanishingProbability
-from .model import PhasePoint, check_byproduct_symmetry, encode_matrix, weyl_symmetry_data
+from .model import PhasePoint, encode_matrix, weyl_unitary
 
 
 class Procedure(enum.Enum):
@@ -197,17 +197,16 @@ class TrajectoryEngine:
         else:
             # the byproduct is a Weyl element V(g) up to a phase, which cancels
             # in the weight conjugation; trials are tracked by the label g
-            labels, sym = _byproduct_labels(point)
-            self.labels = np.array(labels)                      # (d, 2)
+            self.labels = np.array(config.analysis.labels)      # (d, 2)
             ident_j = np.eye(point.Dj)
-            self.weyl_j = np.array([[np.kron(sym.V[(a, b)], ident_j) for b in range(point.D)]
+            self.weyl_j = np.array([[np.kron(weyl_unitary(point.D, a, b), ident_j)
+                                     for b in range(point.D)]
                                     for a in range(point.D)])   # (D, D, Db, Db)
         if self.segments:
-            nu = config.analysis.nu
-            self._interp = []
-            for step in self.segments:
-                phis, _ = gates.eigenphase_groups(gates.pair_operator(point, step.pair))
-                self._interp.append((measurement.PairFilter.from_nu(nu, step.pair), step.alpha, phis))
+            # the boundary outcome is the eigenphase the final measurement reads
+            final = self.segments[-1]
+            obs = config.analysis.pair(final.pair)
+            self._interp = (obs.filter, final.alpha, obs.eigenphases)
 
     def _runway_probs(self, t: int, site: _Site, tau: np.ndarray, label: np.ndarray) -> np.ndarray:
         """Outcome weights at site t, one group of trials per byproduct label."""
@@ -258,7 +257,7 @@ class TrajectoryEngine:
 
         boundary = [None] * T
         if self.segments:
-            params, alpha, phis = self._interp[-1]
+            params, alpha, phis = self._interp
             last = seg_counts[:, -1]
             matched = measurement.interpret_counts(params, alpha, last[:, 0], last[:, 1],
                                                    phis)["matched_index"]
@@ -347,14 +346,6 @@ def add_paths(config: RunConfig, exact: bool = False, max_strings: int = 1 << 16
 # ---------------------------------------------------------------------------
 # boundary reversion (active correction vs traced runway)
 
-def _byproduct_labels(point: PhasePoint):
-    sym = weyl_symmetry_data(point.D)
-    report = check_byproduct_symmetry(point, sym)
-    if not report.passed:
-        raise ValidationError("byproduct operators are not Weyl elements; label tracking unavailable")
-    return [m.group_element for m in report.matches], sym
-
-
 @dataclass
 class BoundaryReport:
     runway_n: int
@@ -390,7 +381,7 @@ def boundary_equivalence(
     point = analysis.point
     final = program.steps[-1]
     body = gates.GateProgram(program.steps[:-1])
-    labels, sym = _byproduct_labels(point)
+    labels = analysis.labels
     D = point.D
     sites, _ = expand_sites(analysis, body)
     left = _left_density(point, left_boundary)
@@ -408,7 +399,8 @@ def boundary_equivalence(
                     new[key] = x
         states = new
 
-    phis, projectors = gates.eigenphase_groups(gates.pair_operator(point, final.pair))
+    obs = analysis.pair(final.pair)
+    phis, projectors = obs.eigenphases, obs.projectors
     ident_j = np.eye(point.Dj)
     fbar = reverse_full_channel(point)
     if right_boundary is None:
@@ -423,7 +415,7 @@ def boundary_equivalence(
     for i, proj in enumerate(projectors):
         pw = np.kron(proj, ident_j)
         for g, tau in states.items():
-            vg = np.kron(sym.V[g], ident_j)
+            vg = np.kron(weyl_unitary(D, *g), ident_j)
             cut = pw @ tau @ pw.conj().T
             p_tilde[i] += np.trace(cut).real
             p_run[i] += np.trace(cut @ vg.conj().T @ w_run @ vg).real

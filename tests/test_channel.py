@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sptmbqc import channel, gates, model
-from sptmbqc.errors import DegenerateLeadingEigenvalue
+from sptmbqc import channel, gates, measurement, model
+from sptmbqc.errors import DegenerateLeadingEigenvalue, ValidationError
 from conftest import random_density, random_state
 
 
@@ -186,3 +186,19 @@ def test_analysis_is_lazy(perturbed):
     assert "fix" not in vars(an)
     np.testing.assert_array_equal(an.nu.nu, channel.nu_matrix(perturbed).nu)
     assert an.fix is an.fix
+
+
+def test_analysis_pair(perturbed, cluster2_an):
+    an = channel.analyze(perturbed)
+    pair = an.pair((0, 1))
+    assert an.pair([0, 1]) is pair and pair.index == (0, 1)
+    phis, projectors = gates.eigenphase_groups(gates.pair_operator(perturbed, (0, 1)))
+    np.testing.assert_array_equal(pair.eigenphases, phis)
+    np.testing.assert_array_equal(np.array(pair.projectors), np.array(projectors))
+    # reading the eigenphases computes neither nu nor the filter numbers
+    assert not {"fix", "nu"} & set(vars(an)) and "filter" not in vars(pair)
+    assert pair.filter == measurement.PairFilter.from_nu(an.nu, (0, 1))
+    for bad in [(0, 4), (1, 1), (1, 0), (-1, 2), (0.0, 1)]:
+        with pytest.raises(ValidationError):
+            an.pair(bad)
+    assert cluster2_an.labels == ((0, 0), (0, 1), (1, 0), (1, 1))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sptmbqc import cli, model, trajectory
+from sptmbqc import cli, gates, model, trajectory
 from sptmbqc.errors import VanishingProbability
 
 
@@ -68,6 +68,26 @@ def test_run_wire(tmp_path, model_file):
     rows = [l.split(",") for l in lines[3:]]
     assert len(rows) == 121
     assert float(rows[-1][1]) < 1e-6  # factorization residual decays along the wire
+
+
+@pytest.mark.parametrize("pair", [("0", "9"), ("1", "1"), ("1", "0")])
+@pytest.mark.parametrize("command", ["gate", "measure", "born"])
+def test_invalid_pair_exit_code(tmp_path, model_file, command, pair):
+    assert run(["run", command, "--model", str(model_file), "--pair", *pair,
+                "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("angle", [("--alpha", "nan"), ("--beta", "inf")])
+def test_run_gate_nonfinite_angle(tmp_path, model_file, angle):
+    assert run(["run", "gate", "--model", str(model_file), *angle, "--out", str(tmp_path)]) == 2
+
+
+def test_linalg_error_exit_code(tmp_path, model_file, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(gates, "finite_rotation", no_convergence)
+    assert run(["run", "gate", "--model", str(model_file), "--out", str(tmp_path)]) == 3
 
 
 def test_run_gate(tmp_path, model_file):

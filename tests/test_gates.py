@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sptmbqc import channel, gates, model
-from sptmbqc.errors import ClosureTooSmall, MaxDimExceeded, SymmetryConditionViolated
+from sptmbqc import channel, gates, model, trajectory
+from sptmbqc.errors import ClosureTooSmall, MaxDimExceeded, SymmetryConditionViolated, ValidationError
 from conftest import random_density
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -121,6 +121,27 @@ def test_finite_rotation_cluster_example(cluster2_an):
     assert fr.choi_fid > 0.999
 
 
+def _uhlmann_fidelity(a, b):
+    # (Tr sqrt(sqrt(J_a) J_b sqrt(J_a)))^2 of the normalized Choi states
+    ja, jb = gates.choi_matrix(a) / a.D, gates.choi_matrix(b) / b.D
+    wa, va = np.linalg.eigh((ja + ja.conj().T) / 2)
+    sq = va @ np.diag(np.sqrt(np.clip(wa, 0, None))) @ va.conj().T
+    wi = np.linalg.eigvalsh(sq @ jb @ sq)
+    return float(np.sum(np.sqrt(np.clip(wi, 0, None))) ** 2)
+
+
+def test_choi_fidelity(perturbed_an, perturbed3):
+    rng = np.random.default_rng(5)
+    for D in (2, 3):
+        u, _ = np.linalg.qr(rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D)))
+        assert gates.choi_fidelity(gates.unitary_channel(u), u) == pytest.approx(1.0, abs=1e-14)
+    for an in (perturbed_an, channel.analyze(perturbed3)):
+        fr = gates.finite_rotation(an, (0, 1), np.pi / 4, np.pi / 2, 100)
+        assert fr.choi_fid < 1 - 1e-4
+        assert fr.choi_fid == pytest.approx(_uhlmann_fidelity(fr.channel, gates.unitary_channel(fr.target)),
+                                            abs=1e-7)
+
+
 def test_compose_program_is_product(perturbed_an):
     steps = (
         gates.GateStep((0, 1), 0.05, 0.3),
@@ -154,9 +175,28 @@ def test_compose_symmetry_violation(cluster2):
     q, _ = np.linalg.qr(m)
     C = list(cluster2.C)
     C[2] = q
-    bad = model.PhasePoint(d=4, D=2, Dj=1, C=C, B=cluster2.B, label="bad")
+    bad = channel.analyze(model.PhasePoint(d=4, D=2, Dj=1, C=C, B=cluster2.B, label="bad"))
+    with pytest.raises(SymmetryConditionViolated, match=r"\[2\]"):
+        gates.compose_program(bad, gates.GateProgram((gates.GateStep((0, 1), 0.01),)))
+    # the runway sampler and the boundary comparison track byproducts by label
+    program = gates.GateProgram((gates.MeasureStep((0, 1), np.pi / 4, 2),))
+    cfg = trajectory.RunConfig(analysis=bad, program=program, boundary=trajectory.BoundaryMode.PHI_RUNWAY,
+                               right_boundary=np.array([1.0, 0.0]))
     with pytest.raises(SymmetryConditionViolated):
-        gates.compose_program(channel.analyze(bad), gates.GateProgram((gates.GateStep((0, 1), 0.01),)))
+        trajectory.TrajectoryEngine(cfg)
+    with pytest.raises(SymmetryConditionViolated):
+        trajectory.boundary_equivalence(bad, program, runway_n=2)
+
+
+@pytest.mark.parametrize("pair", [(1, 0), (1, 1), (0, 4)])
+@pytest.mark.parametrize("kind", ["gate", "measure"])
+def test_step_pair_checked_against_model(perturbed_an, kind, pair):
+    step = gates.GateStep(pair, 0.01) if kind == "gate" else gates.MeasureStep(pair, 0.3, 4)
+    program = gates.GateProgram((step,))
+    with pytest.raises(ValidationError):
+        gates.compose_program(perturbed_an, program)
+    with pytest.raises(ValidationError):
+        trajectory.expand_sites(perturbed_an, program)
 
 
 def test_step_channel_valid(perturbed_an):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sptmbqc import channel, cli, gates, model, oracle
-from sptmbqc.errors import SizeCapExceeded
+from sptmbqc import channel, gates, model, oracle
+from sptmbqc.errors import NumericalFailure, SizeCapExceeded
 from conftest import random_state
 
 
@@ -163,6 +163,6 @@ def test_conformance_random_models(D, junk_dim, strength, seed):
         point = model.perturb_point(model.build_cluster_point(D), strength, junk_dim, seed)
         rep = oracle.conformance_suite(point, 6 if D == 2 else 4, np.random.default_rng(seed),
                                        samples=1000)
-    except cli._NUMERICAL_ERRORS:
+    except NumericalFailure:
         assume(False)
     assert rep.max_deviation <= 1e-10
