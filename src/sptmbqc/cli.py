@@ -184,7 +184,7 @@ def cmd_run_measure(args) -> int:
     params, phis = pair.filter, pair.eigenphases
     pops = np.full(len(phis), 1.0 / len(phis))
     rng = np.random.default_rng(args.seed)
-    schedule = [(args.nm // 2, 0.0), (args.nm - args.nm // 2, np.pi / 2)]
+    schedule = gates.MeasureStep(pair.index, args.alpha, args.nm).schedule
     seg_counts, _ = measurement.filter_trajectories(
         params, phis, pops, schedule, args.trials, args.alpha, rng)
     rd = RunDir(args.out, "run measure", _params(args), args.seed, Path(args.model))
@@ -202,7 +202,7 @@ def cmd_run_measure(args) -> int:
         grid = np.linspace(-np.pi, np.pi, 513)
         rows = []
         for n0, n1 in ((1, 1), (5, 5), (50, 50)):
-            curve = measurement.accumulated_filter(params, args.alpha, n0, n1, grid, pair=pair.index)
+            curve = measurement.accumulated_filter(params, args.alpha, n0, n1, grid)
             rows.extend((n0, n1, p, c) for p, c in zip(grid, curve))
         rd.csv("filter_curves.csv", ["n0", "n1", "phi_rad", "filter_normalized"], rows)
     rd.finish()
@@ -235,10 +235,16 @@ def cmd_run_born(args) -> int:
     analysis = channel.analyze(model.load_model(Path(args.model)))
     analysis.nu  # fail on the nu invariants before the state is checked
     pair = analysis.pair(args.pair)
-    weights = [float(x) for x in args.state.split(",")]
+    try:
+        weights = [float(x) for x in args.state.split(",")]
+    except ValueError:
+        raise ValidationError(f"--state {args.state!r} is not a comma-separated list of numbers") from None
     if len(weights) != len(pair.eigenphases):
         raise ValidationError(f"state has {len(weights)} weights, "
                               f"observable has {len(pair.eigenphases)} eigenphases")
+    if not (all(np.isfinite(w) and w >= 0 for w in weights) and sum(weights) > 0):
+        raise ValidationError(f"--state weights {args.state!r} must be finite and non-negative "
+                              "with a positive sum")
     sigma = sum(w * (p @ p) / np.trace(p @ p).real for w, p in zip(weights, pair.projectors))
     rng = np.random.default_rng(args.seed)
     rep = measurement.born_statistics(sigma, analysis, pair.index, args.trials, args.nm, rng)

@@ -52,6 +52,14 @@ class MeasureStep:
     n_m: int
     wire_n: int | None = None
 
+    @property
+    def schedule(self) -> tuple[tuple[int, float], tuple[int, float]]:
+        """The (steps, beta) blocks of the measurement: n_m // 2 steps at beta = 0,
+        which estimate cos(phi - delta), then the rest at beta = pi/2, which
+        estimate sin(phi - delta)."""
+        n_real = self.n_m // 2
+        return ((n_real, 0.0), (self.n_m - n_real, np.pi / 2))
+
 
 @dataclass(frozen=True)
 class InitStep:
@@ -436,11 +444,9 @@ def finite_rotation(
 
 def nonselective_measurement_channel(analysis: Analysis, step: MeasureStep) -> LogicalChannel:
     """Path sum over all outcomes of the full accumulated weak measurement block."""
-    n_real = step.n_m // 2
-    n_imag = step.n_m - n_real
-    real = step_channel(analysis, step.pair, step.alpha, 0.0, wire_n=step.wire_n)
-    imag = step_channel(analysis, step.pair, step.alpha, np.pi / 2, wire_n=step.wire_n)
-    return imag.power(n_imag).compose(real.power(n_real))
+    real, imag = (step_channel(analysis, step.pair, step.alpha, beta, wire_n=step.wire_n).power(steps)
+                  for steps, beta in step.schedule)
+    return imag.compose(real)
 
 
 def init_channel(analysis: Analysis, step: InitStep) -> LogicalChannel:

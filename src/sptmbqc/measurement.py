@@ -14,7 +14,6 @@ oracle; see tests.)
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,45 +21,9 @@ import scipy.optimize
 
 from . import gates
 from .channel import Analysis, PairFilter, VirtualState
-from .errors import ClosureTooSmall, ValidationError, ZeroOffDiagonal
-from .model import PhasePoint
+from .errors import ClosureTooSmall, ValidationError, VanishingProbability, ZeroOffDiagonal
 
 OUT_OF_RANGE_SLACK = 0.05
-
-
-class BasisVariant(enum.Enum):
-    REAL = "real"        # beta = 0, estimates cos(phi - delta)
-    IMAG = "imag"        # beta = pi/2, estimates sin(phi - delta)
-    GENERAL = "general"  # explicit beta
-
-
-@dataclass(frozen=True)
-class MeasurementBasis:
-    pair: tuple[int, int]
-    alpha: float
-    variant: BasisVariant = BasisVariant.REAL
-    beta: float = 0.0
-
-    @property
-    def effective_beta(self) -> float:
-        if self.variant is BasisVariant.REAL:
-            return 0.0
-        if self.variant is BasisVariant.IMAG:
-            return np.pi / 2
-        return self.beta
-
-    def matrix(self, d: int) -> np.ndarray:
-        return gates.basis_matrix(d, self.pair, self.alpha, self.effective_beta)
-
-    def virtual_ops(self, point: PhasePoint) -> list[np.ndarray]:
-        """Byproduct-corrected per-outcome virtual actions of one site in this basis."""
-        return gates.step_virtual_ops(point, self.pair, self.alpha, self.effective_beta)
-
-
-def _pair_filter(nu, pair) -> PairFilter:
-    if isinstance(nu, PairFilter):
-        return nu
-    return PairFilter.from_nu(nu, pair)
 
 
 def filter_values(params: PairFilter, alpha: float, beta: float, phi) -> tuple[np.ndarray, np.ndarray]:
@@ -73,24 +36,11 @@ def filter_values(params: PairFilter, alpha: float, beta: float, phi) -> tuple[n
     return f0, f1
 
 
-def filter_function(nu, basis: MeasurementBasis, outcome: int, phi: float) -> float:
-    """Diagonal filter value f_outcome(phi, phi) for one weak measurement."""
-    params = _pair_filter(nu, basis.pair)
-    if outcome == basis.pair[0]:
-        return float(filter_values(params, basis.alpha, basis.effective_beta, phi)[0])
-    if outcome == basis.pair[1]:
-        return float(filter_values(params, basis.alpha, basis.effective_beta, phi)[1])
-    if isinstance(nu, PairFilter):
-        raise ValidationError("outcomes outside the pair need the full nu matrix")
-    return float(nu.nu[outcome, outcome].real)
-
-
-def accumulated_filter(nu, alpha: float, N0: int, N1: int, phi_grid,
-                       pair: tuple[int, int] = (0, 1), beta: float = 0.0) -> np.ndarray:
+def accumulated_filter(params: PairFilter, alpha: float, N0: int, N1: int, phi_grid,
+                       beta: float = 0.0) -> np.ndarray:
     """Max-normalized F(phi) = f_0^N0 f_1^N1 on the grid."""
     if N0 < 0 or N1 < 0:
         raise ValidationError("N0 and N1 must be non-negative")
-    params = _pair_filter(nu, pair)
     f0, f1 = filter_values(params, alpha, beta, np.asarray(phi_grid))
     curve = f0 ** N0 * f1 ** N1
     peak = np.max(np.abs(curve))
@@ -137,6 +87,22 @@ def outcome_states(state: VirtualState, analysis: Analysis, ops, wire_n: int | N
     return analysis.wire(raw, wire_n)
 
 
+def draw_outcomes(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """One outcome per row of probs (T, n_out) from uniform draws (T,).
+
+    Negative probabilities are clipped to zero and each row is normalized; the
+    outcome is the left insertion point of the draw in the cumulative row,
+    capped at n_out - 1.
+    """
+    probs = np.clip(probs, 0.0, None)
+    total = probs.sum(axis=1, keepdims=True)
+    if not np.all(total > 0):
+        raise VanishingProbability(
+            "every outcome of a sampled site has zero (or non-finite) probability")
+    cum = np.cumsum(probs / total, axis=1)
+    return np.minimum((cum < draws[:, None]).sum(axis=1), probs.shape[1] - 1)
+
+
 def weak_measure_step(
     state: VirtualState,
     analysis: Analysis,
@@ -147,26 +113,28 @@ def weak_measure_step(
     """Sample one weak-measurement outcome from the exact per-outcome channel traces.
 
     `ops` are the per-outcome virtual actions of the measured basis
-    (`MeasurementBasis.virtual_ops`).
+    (`gates.step_virtual_ops`).
     """
     outs = outcome_states(state, analysis, ops, wire_n)
-    probs = np.array([max(np.trace(o).real, 0.0) for o in outs])
-    probs = probs / probs.sum()
-    k = int(np.searchsorted(np.cumsum(probs), rng.random()))
-    k = min(k, len(ops) - 1)
+    probs = np.array([[np.trace(o).real for o in outs]])
+    k = int(draw_outcomes(probs, np.array([rng.random()]))[0])
     rho = outs[k] / np.trace(outs[k]).real
     return k, VirtualState(rho, state.D, state.Dj)
 
 
 def _weak_counts(virt, analysis, basis, steps, rng, wire_n):
-    """Run `steps` weak measurements in one basis: ((N_0, N_1), N_rest, final state)."""
-    ops = basis.virtual_ops(analysis.point)
+    """Run `steps` weak measurements in one basis (pair, alpha, beta).
+
+    Returns ((N_0, N_1), N_rest, final state).
+    """
+    ops = gates.step_virtual_ops(analysis.point, *basis)
+    i, j = basis[0]
     n0 = n1 = rest = 0
     for _ in range(steps):
         k, virt = weak_measure_step(virt, analysis, ops, rng, wire_n)
-        if k == basis.pair[0]:
+        if k == i:
             n0 += 1
-        elif k == basis.pair[1]:
+        elif k == j:
             n1 += 1
         else:
             rest += 1
@@ -221,7 +189,7 @@ def measure_observable(
     rng: np.random.Generator,
     wire_n: int | None = None,
 ) -> MeasurementResult:
-    """Accumulated weak measurement: n_m/2 steps at beta=0, n_m/2 at beta=pi/2.
+    """Accumulated weak measurement in the two bases of `gates.MeasureStep.schedule`.
 
     `state` may be a logical density matrix (tensored with the junk fixed point)
     or a VirtualState.
@@ -235,15 +203,10 @@ def measure_observable(
     obs = analysis.pair(pair)
     params, eigenphases = obs.filter, obs.eigenphases
 
-    halves = [
-        (BasisVariant.REAL, n_m // 2),
-        (BasisVariant.IMAG, n_m - n_m // 2),
-    ]
     seg_counts = []
     rest = 0
-    for variant, steps in halves:
-        basis = MeasurementBasis(pair=pair, alpha=alpha, variant=variant)
-        counts, n_rest, virt = _weak_counts(virt, analysis, basis, steps, rng, wire_n)
+    for steps, beta in gates.MeasureStep(pair, alpha, n_m).schedule:
+        counts, n_rest, virt = _weak_counts(virt, analysis, (pair, alpha, beta), steps, rng, wire_n)
         seg_counts.append(counts)
         rest += n_rest
     interp = {k: v[0].item() for k, v in
@@ -287,8 +250,8 @@ def measure_observable_tuned(
     obs = analysis.pair(pair)
     params, eigenphases = obs.filter, obs.eigenphases
     beta_star = coarse.phi_hat - params.delta - np.pi / 2
-    basis = MeasurementBasis(pair=pair, alpha=alpha, variant=BasisVariant.GENERAL, beta=beta_star)
-    (n0, n1), rest, virt = _weak_counts(coarse.post_state, analysis, basis, n_fine, rng, wire_n)
+    (n0, n1), rest, virt = _weak_counts(coarse.post_state, analysis, (pair, alpha, beta_star),
+                                        n_fine, rng, wire_n)
     m_est = mcos_estimate(params, alpha, n0, n1)
     out_of_range = bool(np.isnan(m_est) or abs(m_est) > 1 + OUT_OF_RANGE_SLACK)
     if np.isnan(m_est):
@@ -334,9 +297,13 @@ def filter_trajectories(
     """Sample weak-measurement records for many trials at once.
 
     schedule is a list of (steps, beta) segments.  Returns per-segment count
-    arrays of shape (trials, 2) and the final populations (trials, m).
+    arrays of shape (trials, 2) and the final populations (trials, m).  Raises
+    VanishingProbability when the initial populations are non-finite or sum to zero.
     """
-    pops = np.tile(np.asarray(populations, dtype=float), (trials, 1))
+    populations = np.asarray(populations, dtype=float)
+    if not (np.all(np.isfinite(populations)) and populations.sum() > 0):
+        raise VanishingProbability("initial populations must be finite with a positive sum")
+    pops = np.tile(populations, (trials, 1))
     pops /= pops.sum(axis=1, keepdims=True)
     seg_counts = []
     for steps, beta in schedule:
@@ -386,7 +353,7 @@ def born_statistics(
     params = obs.filter
     if method == "filter":
         pops = np.array([max(b, 0.0) for b in born])
-        schedule = [(n_m // 2, 0.0), (n_m - n_m // 2, np.pi / 2)]
+        schedule = gates.MeasureStep(pair, alpha, n_m).schedule
         seg_counts, _ = filter_trajectories(params, eigenphases, pops, schedule, trials, alpha, rng)
         matched = interpret_counts(params, alpha, seg_counts[0], seg_counts[1], eigenphases)["matched_index"]
     elif method == "virtual":
@@ -452,13 +419,12 @@ def initialize(
 # ---------------------------------------------------------------------------
 # measurement cost and the nu self-test
 
-def measurement_cost(nu, Delta: float, epsilon: float, pair: tuple[int, int] = (0, 1)) -> int:
+def measurement_cost(params: PairFilter, Delta: float, epsilon: float) -> int:
     """Steps for eigenphase resolution epsilon*Delta: ceil of (nu_ii+nu_jj) / ((4 eps Delta)^2 |nu_ji|^2)."""
     if Delta <= 0 or epsilon <= 0:
         raise ValidationError("Delta and epsilon must be positive")
-    params = _pair_filter(nu, pair)
     if abs(params.nu_ji) < 1e-12:
-        raise ZeroOffDiagonal(f"|nu_{pair[1]}{pair[0]}| < 1e-12; this fine-tuned point cannot be measured")
+        raise ZeroOffDiagonal("|nu_ji| < 1e-12; this fine-tuned point cannot be measured")
     value = (params.nu_ii + params.nu_jj) / ((4 * epsilon * Delta) ** 2 * abs(params.nu_ji) ** 2)
     return int(np.ceil(value))
 

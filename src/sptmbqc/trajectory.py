@@ -31,7 +31,7 @@ from .channel import (
     reverse_full_channel,
     reverse_junk_channel,
 )
-from .errors import DegenerateLeadingEigenvalue, ValidationError, VanishingProbability
+from .errors import DegenerateLeadingEigenvalue, ValidationError
 from .model import PhasePoint, encode_matrix, weyl_unitary
 
 
@@ -120,9 +120,7 @@ def expand_sites(analysis: Analysis, program: gates.GateProgram) -> tuple[list[_
             wn = step.wire_n if step.wire_n is not None else analysis.wire_length
             seg = len(segments)
             segments.append(step)
-            for half, (beta, n_steps) in enumerate(
-                ((0.0, step.n_m // 2), (np.pi / 2, step.n_m - step.n_m // 2))
-            ):
+            for half, (n_steps, beta) in enumerate(step.schedule):
                 ops = np.stack(gates.step_virtual_ops(point, step.pair, step.alpha, beta))
                 block = [_Site(ops=ops, kind="measure", adapted=True, segment=seg, half=half,
                                pair=step.pair)] + [wire] * wn
@@ -143,22 +141,6 @@ def _left_density(point: PhasePoint, left) -> np.ndarray:
     if left.ndim == 1:
         left = np.outer(left, left.conj())
     return left / np.trace(left).real
-
-
-def draw_outcomes(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """One outcome per row of probs (T, n_out) from uniform draws (T,).
-
-    Negative probabilities are clipped to zero and each row is normalized; the
-    outcome is the left insertion point of the draw in the cumulative row,
-    capped at n_out - 1.
-    """
-    probs = np.clip(probs, 0.0, None)
-    total = probs.sum(axis=1, keepdims=True)
-    if not np.all(total > 0):
-        raise VanishingProbability(
-            "every outcome of a sampled site has zero (or non-finite) probability")
-    cum = np.cumsum(probs / total, axis=1)
-    return np.minimum((cum < draws[:, None]).sum(axis=1), probs.shape[1] - 1)
 
 
 class TrajectoryEngine:
@@ -242,7 +224,7 @@ class TrajectoryEngine:
                 probs = np.einsum("kab,tba->tk", self.prob_mats[t], tau).real
             else:
                 probs = self._runway_probs(t, site, tau, label)
-            s = draw_outcomes(probs, draws[:, t])
+            s = measurement.draw_outcomes(probs, draws[:, t])
             op = site.ops[s]
             tau = op @ tau @ op.conj().transpose(0, 2, 1)
             tau = tau / np.trace(tau, axis1=1, axis2=2).real[:, None, None]

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sptmbqc import cli, gates, model, trajectory
+from sptmbqc import cli, gates, measurement, model
 from sptmbqc.errors import VanishingProbability
 
 
@@ -132,6 +132,14 @@ def test_run_born(tmp_path, model_file):
     assert abs(freqs[0.0] - 0.7) < 0.1
 
 
+@pytest.mark.parametrize("state", ["a,b", "nan,1", "0,0", "-0.5,1.5"])
+def test_run_born_rejects_bad_state(tmp_path, model_file, state, capsys):
+    assert run(["run", "born", "--model", str(model_file), "--trials", "20", "--nm", "10",
+                f"--state={state}", "--out", str(tmp_path)]) == 2
+    assert "--state" in capsys.readouterr().err
+    assert not (tmp_path / "born.csv").exists()
+
+
 def test_run_boundary(tmp_path, model_file):
     out = tmp_path / "bdy"
     assert run(["run", "boundary", "--model", str(model_file), "--runways", "0,25",
@@ -179,7 +187,7 @@ def test_vanishing_probability_exit_code(tmp_path, model_file, monkeypatch):
     def vanish(probs, draws):
         raise VanishingProbability("every outcome has zero probability")
 
-    monkeypatch.setattr(trajectory, "draw_outcomes", vanish)
+    monkeypatch.setattr(measurement, "draw_outcomes", vanish)
     assert run(["run", "wire", "--model", str(model_file), "--n", "5",
                 "--trajectories", "2", "--out", str(tmp_path)]) == 3
 

@@ -280,3 +280,15 @@ def test_interaction_trace_preserving(perturbed_an):
     u, _ = np.linalg.qr(m)
     out = gates.interaction_step(perturbed_an, np.eye(2) / 2, u)
     assert abs(np.trace(out) - 1) < 1e-12
+
+
+def test_nonselective_measurement_odd_schedule(perturbed_an):
+    # n_m = 7 splits into 3 steps at beta = 0, then 4 at beta = pi/2
+    step = gates.MeasureStep((0, 1), 0.6, 7, wire_n=4)
+    assert step.schedule == ((3, 0.0), (4, np.pi / 2))
+    real = gates.step_channel(perturbed_an, (0, 1), 0.6, 0.0, wire_n=4)
+    imag = gates.step_channel(perturbed_an, (0, 1), 0.6, np.pi / 2, wire_n=4)
+    got = gates.nonselective_measurement_channel(perturbed_an, step)
+    np.testing.assert_array_equal(got.superop, imag.power(4).compose(real.power(3)).superop)
+    # the two blocks commute, but the 3/4 split is not the 4/3 one
+    assert not np.allclose(got.superop, imag.power(3).compose(real.power(4)).superop, atol=1e-6)

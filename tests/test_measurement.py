@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sptmbqc import channel, gates, measurement as meas
-from sptmbqc.errors import ClosureTooSmall, ValidationError, ZeroOffDiagonal
+from sptmbqc.errors import ClosureTooSmall, ValidationError, VanishingProbability, ZeroOffDiagonal
 from conftest import random_density, random_state
 
 
@@ -14,30 +14,21 @@ def principal(projector):
 
 
 def test_filter_cluster_example(cluster2_nu):
-    basis = meas.MeasurementBasis((0, 1), np.pi / 4)
-    assert meas.filter_function(cluster2_nu, basis, 0, 0.0) == pytest.approx(0.5, abs=1e-14)
-    assert meas.filter_function(cluster2_nu, basis, 1, 0.0) == pytest.approx(0.0, abs=1e-14)
+    f0, f1 = meas.filter_values(meas.PairFilter.from_nu(cluster2_nu, (0, 1)), np.pi / 4, 0.0, 0.0)
+    assert f0 == pytest.approx(0.5, abs=1e-14)
+    assert f1 == pytest.approx(0.0, abs=1e-14)
 
 
 def test_filter_wire_basis_limit(perturbed_nu):
-    basis = meas.MeasurementBasis((0, 1), 0.0)
-    assert meas.filter_function(perturbed_nu, basis, 0, 1.3) == pytest.approx(
-        perturbed_nu.nu[0, 0].real, abs=1e-14)
-    assert meas.filter_function(perturbed_nu, basis, 1, 1.3) == pytest.approx(
-        perturbed_nu.nu[1, 1].real, abs=1e-14)
+    f0, f1 = meas.filter_values(meas.PairFilter.from_nu(perturbed_nu, (0, 1)), 0.0, 0.0, 1.3)
+    assert f0 == pytest.approx(perturbed_nu.nu[0, 0].real, abs=1e-14)
+    assert f1 == pytest.approx(perturbed_nu.nu[1, 1].real, abs=1e-14)
 
 
 def test_filter_fig2_parameters():
-    params = meas.PairFilter(1.0, 1.0, 0.8)
-    basis = meas.MeasurementBasis((0, 1), np.pi / 4)
-    assert meas.filter_function(params, basis, 0, 0.0) == pytest.approx(1.8, abs=1e-14)
-    assert meas.filter_function(params, basis, 1, 0.0) == pytest.approx(0.2, abs=1e-14)
-
-
-def test_filter_rest_outcome(perturbed_nu):
-    basis = meas.MeasurementBasis((0, 1), 0.6)
-    assert meas.filter_function(perturbed_nu, basis, 2, 0.4) == pytest.approx(
-        perturbed_nu.nu[2, 2].real, abs=1e-14)
+    f0, f1 = meas.filter_values(meas.PairFilter(1.0, 1.0, 0.8), np.pi / 4, 0.0, 0.0)
+    assert f0 == pytest.approx(1.8, abs=1e-14)
+    assert f1 == pytest.approx(0.2, abs=1e-14)
 
 
 @given(alpha=st.floats(0, np.pi / 2), beta=st.floats(-np.pi, np.pi),
@@ -58,8 +49,7 @@ def test_filter_sum_rule_grid(perturbed_nu):
 
 def test_filter_matches_exact_channel(perturbed, perturbed_nu, perturbed_fix, perturbed_an):
     # diagonal filter values equal the exact per-outcome channel traces on eigenstates
-    basis = meas.MeasurementBasis((0, 1), 0.6, meas.BasisVariant.GENERAL, beta=0.9)
-    ops = basis.virtual_ops(perturbed)
+    ops = gates.step_virtual_ops(perturbed, (0, 1), 0.6, 0.9)
     params = meas.PairFilter.from_nu(perturbed_nu, (0, 1))
     phis, projs = gates.eigenphase_groups(gates.pair_operator(perturbed, (0, 1)))
     for phi, proj in zip(phis, projs):
@@ -73,7 +63,7 @@ def test_filter_matches_exact_channel(perturbed, perturbed_nu, perturbed_fix, pe
 
 def test_accumulated_filter_trivial(perturbed_nu):
     grid = np.linspace(-np.pi, np.pi, 64)
-    curve = meas.accumulated_filter(perturbed_nu, 0.4, 0, 0, grid)
+    curve = meas.accumulated_filter(meas.PairFilter.from_nu(perturbed_nu, (0, 1)), 0.4, 0, 0, grid)
     np.testing.assert_allclose(curve, 1.0)
 
 
@@ -97,8 +87,7 @@ def test_accumulated_filter_peak_ratio():
 
 
 def test_weak_step_wire_basis_probabilities(perturbed, perturbed_nu, perturbed_fix, perturbed_an):
-    basis = meas.MeasurementBasis((0, 1), 0.0)
-    ops = basis.virtual_ops(perturbed)
+    ops = gates.step_virtual_ops(perturbed, (0, 1), 0.0, 0.0)
     rng = np.random.default_rng(0)
     sigma = random_density(2, rng)
     state = channel.VirtualState.product(sigma, perturbed_fix.rho)
@@ -113,8 +102,7 @@ def test_weak_step_eigenstate_unchanged(perturbed, perturbed_nu, perturbed_fix, 
     phis, projs = gates.eigenphase_groups(gates.pair_operator(perturbed, (0, 1)))
     v = principal(projs[0])
     state = channel.VirtualState.product(np.outer(v, v.conj()), perturbed_fix.rho)
-    basis = meas.MeasurementBasis((0, 1), 0.7)
-    ops = basis.virtual_ops(perturbed)
+    ops = gates.step_virtual_ops(perturbed, (0, 1), 0.7, 0.0)
     for out in meas.outcome_states(state, perturbed_an, ops):
         sig = out.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
         sig = sig / np.trace(sig).real
@@ -127,8 +115,7 @@ def test_weak_step_diagonal_preservation(perturbed, perturbed_nu, perturbed_fix,
     sigma = random_density(2, rng)
     state = channel.VirtualState.product(sigma, perturbed_fix.rho)
     phis, projs = gates.eigenphase_groups(gates.pair_operator(perturbed, (0, 1)))
-    basis = meas.MeasurementBasis((0, 1), 0.7, meas.BasisVariant.GENERAL, beta=1.1)
-    ops = basis.virtual_ops(perturbed)
+    ops = gates.step_virtual_ops(perturbed, (0, 1), 0.7, 1.1)
     summed = sum(meas.outcome_states(state, perturbed_an, ops))
     sig_out = channel.VirtualState(summed, 2, 2).logical_state()
     for proj in projs:
@@ -212,6 +199,63 @@ def test_filter_trajectories_matches_masked_reference(perturbed_nu):
             ref_pops /= ref_pops.sum(axis=1, keepdims=True)
         np.testing.assert_array_equal(got, ref)
     np.testing.assert_array_equal(final, ref_pops)
+
+
+@pytest.mark.parametrize("pops", [[0.0, 0.0, 0.0], [np.nan, 0.5, 0.5], [np.inf, 0.0, 1.0]])
+def test_filter_trajectories_rejects_vanishing_populations(perturbed_nu, pops):
+    params = meas.PairFilter.from_nu(perturbed_nu, (0, 2))
+    with pytest.raises(VanishingProbability):
+        meas.filter_trajectories(params, np.array([0.0, 2.0, np.pi]), np.array(pops),
+                                 [(3, 0.0)], 4, 0.7, np.random.default_rng(0))
+
+
+def test_weak_measure_step_rejects_vanishing_probability(perturbed, perturbed_fix, perturbed_an):
+    # outcome ops that annihilate the state leave no outcome to draw
+    state = channel.VirtualState.product(np.eye(2) / 2, perturbed_fix.rho)
+    ops = [np.zeros((perturbed.Db, perturbed.Db))] * perturbed.d
+    with pytest.raises(VanishingProbability):
+        meas.weak_measure_step(state, perturbed_an, ops, np.random.default_rng(0), wire_n=0)
+
+
+# results of the virtual sampler (weak_measure_step and its callers) at fixed
+# seeds on `perturbed`, recorded before it shared the measurement schedule and
+# the outcome draw with the other samplers:
+# (counts, counts_real, counts_imag, repr(phi_hat), matched_index)
+PINNED_VIRTUAL = {
+    "measure": ((3, 14, 23), (0, 9), (3, 5), "-2.7795739538178106", 1),
+    "measure_odd": ((1, 2, 4), (1, 0), (0, 2), "-0.5818188272628606", 0),
+    "tuned": ((4, 23, 33), (1, 0), (0, 2), "0.2220947601471739", 0),
+}
+
+
+def _pinned_measurement(which, analysis):
+    mixed = np.eye(2) / 2
+    if which == "measure":
+        return meas.measure_observable(mixed, analysis, (0, 1), 40, np.pi / 4, np.random.default_rng(101))
+    if which == "measure_odd":
+        return meas.measure_observable(mixed, analysis, (0, 1), 7, 0.6, np.random.default_rng(105),
+                                       wire_n=3)
+    return meas.measure_observable_tuned(mixed, analysis, (0, 1), 60, np.pi / 4, np.random.default_rng(102))
+
+
+@pytest.mark.parametrize("which", list(PINNED_VIRTUAL))
+def test_pinned_virtual_measurement(which, perturbed_an):
+    res = _pinned_measurement(which, perturbed_an)
+    got = (res.counts, res.counts_real, res.counts_imag, repr(float(res.phi_hat)), res.matched_index)
+    assert got == PINNED_VIRTUAL[which]
+
+
+def test_pinned_virtual_born(perturbed_an):
+    projs = perturbed_an.pair((0, 1)).projectors
+    rep = meas.born_statistics(0.7 * projs[0] + 0.3 * projs[1], perturbed_an, (0, 1), trials=20,
+                               n_m=40, rng=np.random.default_rng(103), method="virtual")
+    assert rep.frequencies.tolist() == [0.55, 0.45]
+
+
+def test_pinned_virtual_initialize(perturbed_an):
+    # measured 0 with target 1: the compiled correction fires
+    res = meas.initialize(np.eye(2) / 2, perturbed_an, (0, 1), 1, np.random.default_rng(104), n_m=100)
+    assert (res.measured_index, repr(res.fidelity), len(res.correction.steps)) == (0, "0.9999595068612658", 1)
 
 
 def test_measure_observable_eigenstate(perturbed, perturbed_an):
@@ -347,13 +391,14 @@ def test_initialize_needs_qubit(cluster3):
 
 
 def test_measurement_cost_example(cluster2_nu):
-    assert meas.measurement_cost(cluster2_nu, np.pi, 0.1) == 6
+    assert meas.measurement_cost(meas.PairFilter.from_nu(cluster2_nu, (0, 1)), np.pi, 0.1) == 6
 
 
 def test_measurement_cost_quadratic_in_epsilon(cluster2_nu):
     # (nu00 + nu11)/|nu01|^2 = 8 at the cluster point: pick 4*eps*Delta = 1
-    n1 = meas.measurement_cost(cluster2_nu, 1.0, 0.25)
-    n2 = meas.measurement_cost(cluster2_nu, 1.0, 0.125)
+    params = meas.PairFilter.from_nu(cluster2_nu, (0, 1))
+    n1 = meas.measurement_cost(params, 1.0, 0.25)
+    n2 = meas.measurement_cost(params, 1.0, 0.125)
     assert (n1, n2) == (8, 32)
 
 
@@ -386,8 +431,7 @@ def test_weak_step_rest_outcome_no_filtering(perturbed, perturbed_nu, perturbed_
     rng = np.random.default_rng(14)
     sigma = random_density(2, rng)
     state = channel.VirtualState.product(sigma, perturbed_fix.rho)
-    basis = meas.MeasurementBasis((0, 1), 0.7, meas.BasisVariant.GENERAL, beta=0.4)
-    ops = basis.virtual_ops(perturbed)
+    ops = gates.step_virtual_ops(perturbed, (0, 1), 0.7, 0.4)
     outs = meas.outcome_states(state, perturbed_an, ops)
     for k in (2, 3):
         weight = np.trace(outs[k]).real

@@ -202,14 +202,25 @@ def test_measure_step_seed_stream_contract(cluster2, cluster2_an):
     fix = channel.fixed_point(channel.junk_channel(cluster2))
     state = channel.VirtualState.product(np.eye(2) / 2, fix.rho)
     outcomes = []
-    for half, beta_variant in ((n_m // 2, meas.BasisVariant.REAL),
-                               (n_m - n_m // 2, meas.BasisVariant.IMAG)):
-        basis = meas.MeasurementBasis((0, 1), np.pi / 4, beta_variant)
-        ops = basis.virtual_ops(cluster2)
-        for _ in range(half):
+    for steps, beta in program.steps[0].schedule:
+        ops = gates.step_virtual_ops(cluster2, (0, 1), np.pi / 4, beta)
+        for _ in range(steps):
             k, state = meas.weak_measure_step(state, cluster2_an, ops, rng, wire_n=0)
             outcomes.append(k)
     assert tuple(outcomes) == rec.outcomes
+
+
+def test_expand_sites_odd_measure_schedule(perturbed_an):
+    # n_m = 7: three beta = 0 measure blocks, then four beta = pi/2 blocks
+    step = gates.MeasureStep((0, 2), 0.6, 7, wire_n=2)
+    sites, segments = traj.expand_sites(perturbed_an, gates.GateProgram((step,)))
+    assert segments == [step]
+    measured = [s for s in sites if s.kind == "measure"]
+    assert [s.half for s in measured] == [0] * 3 + [1] * 4
+    assert len(sites) == 7 * 3
+    for s in measured:
+        beta = (0.0, np.pi / 2)[s.half]
+        np.testing.assert_array_equal(s.ops, gates.step_virtual_ops(perturbed_an.point, (0, 2), 0.6, beta))
 
 
 def test_compose_program_matches_sampled_trajectories(perturbed_fix, perturbed_an):
@@ -327,7 +338,7 @@ def test_draw_outcomes_rule():
     rng = np.random.default_rng(12)
     probs = rng.random((200, 5)) - 0.1
     draws = rng.random(200)
-    got = traj.draw_outcomes(probs, draws)
+    got = meas.draw_outcomes(probs, draws)
     for p, r, s in zip(probs, draws, got):
         p = np.clip(p, 0.0, None)
         p = p / p.sum()
@@ -338,7 +349,7 @@ def test_draw_outcomes_rule():
 def test_draw_outcomes_rejects_vanishing_row(row):
     probs = np.array([[0.3, 0.3, 0.4], row])
     with pytest.raises(VanishingProbability):
-        traj.draw_outcomes(probs, np.array([0.5, 0.5]))
+        meas.draw_outcomes(probs, np.array([0.5, 0.5]))
 
 
 @pytest.mark.parametrize("field", ["left_boundary", "right_boundary"])
