@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateLeadingEigenvalue,
@@ -24,6 +23,7 @@ DEGENERACY_TOL = 1e-12
 NU_TOL = 1e-10
 WIRE_FLOOR = 20
 WIRE_XI_FACTOR = 30.0
+PI_WRAP_TOL = 1e-12  # eigenphases this close to -pi are reported as +pi
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -217,9 +217,15 @@ def pair_operator(point: PhasePoint, pair: tuple[int, int]) -> np.ndarray:
 
 
 def eigenphase_groups(C: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Distinct eigenphases of a unitary and the projectors onto their eigenspaces."""
-    T, Q = scipy.linalg.schur(np.asarray(C, dtype=complex), output="complex")
-    phis = np.angle(np.diag(T))
+    """Distinct eigenphases of a unitary and the projectors onto their eigenspaces.
+
+    Phases lie in (-pi, pi]: an eigenvalue -1 has phase pi, whatever the sign
+    of the rounding in its imaginary part.  Each projector comes from an
+    orthonormal (QR) basis of its group's eigenvectors.
+    """
+    vals, vecs = np.linalg.eig(np.asarray(C, dtype=complex))
+    phis = np.angle(vals)
+    phis[phis < -np.pi + PI_WRAP_TOL] = np.pi
     groups: list[list[int]] = []
     reps: list[float] = []
     for idx, phi in enumerate(phis):
@@ -237,8 +243,8 @@ def eigenphase_groups(C: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, lis
     out_phis = np.array([reps[g] for g in order])
     projectors = []
     for g in order:
-        cols = Q[:, groups[g]]
-        projectors.append(cols @ cols.conj().T)
+        basis = np.linalg.qr(vecs[:, groups[g]])[0]
+        projectors.append(basis @ basis.conj().T)
     return out_phis, projectors
 
 

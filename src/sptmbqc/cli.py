@@ -34,6 +34,14 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
+def finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite (else exit 2)."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValidationError(f"{text!r} is not a finite number")
+    return value
+
+
 def _fmt(v) -> str:
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
@@ -242,9 +250,9 @@ def cmd_run_born(args) -> int:
     if len(weights) != len(pair.eigenphases):
         raise ValidationError(f"state has {len(weights)} weights, "
                               f"observable has {len(pair.eigenphases)} eigenphases")
-    if not (all(np.isfinite(w) and w >= 0 for w in weights) and sum(weights) > 0):
+    if not (all(np.isfinite(w) and w >= 0 for w in weights) and abs(sum(weights) - 1.0) <= 1e-9):
         raise ValidationError(f"--state weights {args.state!r} must be finite and non-negative "
-                              "with a positive sum")
+                              "and sum to 1")
     sigma = sum(w * (p @ p) / np.trace(p @ p).real for w, p in zip(weights, pair.projectors))
     rng = np.random.default_rng(args.seed)
     rep = measurement.born_statistics(sigma, analysis, pair.index, args.trials, args.nm, rng)
@@ -332,7 +340,7 @@ def build_parser() -> _Parser:
     p = msub.add_parser("perturb", help="perturb junk matrices at fixed byproducts")
     p.add_argument("--model", default=None, help="base model path (default: cluster point)")
     p.add_argument("--D", type=int, default=2, help="cluster dimension when no base model is given")
-    p.add_argument("--strength", type=float, required=True)
+    p.add_argument("--strength", type=finite_float, required=True)
     p.add_argument("--junk-dim", dest="junk_dim", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=".")
@@ -363,8 +371,8 @@ def build_parser() -> _Parser:
     g = rsub.add_parser("gate", help="finite-rotation error vs step count")
     common(g)
     g.add_argument("--pair", type=int, nargs=2, default=(0, 1))
-    g.add_argument("--alpha", type=float, default=np.pi / 4)
-    g.add_argument("--beta", type=float, default=np.pi / 2)
+    g.add_argument("--alpha", type=finite_float, default=np.pi / 4)
+    g.add_argument("--beta", type=finite_float, default=np.pi / 2)
     g.add_argument("--n-steps", dest="n_steps", type=lambda s: [int(x) for x in s.split(",")],
                    default=[100, 200, 400])
     g.set_defaults(func=cmd_run_gate)
@@ -373,7 +381,7 @@ def build_parser() -> _Parser:
     common(me)
     me.add_argument("--pair", type=int, nargs=2, default=(0, 1))
     me.add_argument("--nm", type=int, default=1600)
-    me.add_argument("--alpha", type=float, default=np.pi / 4)
+    me.add_argument("--alpha", type=finite_float, default=np.pi / 4)
     me.add_argument("--trials", type=int, default=200)
     me.add_argument("--curves", action="store_true", help="also emit accumulated filter curves")
     me.set_defaults(func=cmd_run_measure)
@@ -389,7 +397,7 @@ def build_parser() -> _Parser:
     bo.add_argument("--pair", type=int, nargs=2, default=(0, 1))
     bo.add_argument("--trials", type=int, default=10_000)
     bo.add_argument("--nm", type=int, default=600)
-    bo.add_argument("--state", default="0.7,0.3", help="eigenphase weights, comma separated")
+    bo.add_argument("--state", default="0.7,0.3", help="eigenphase weights, comma separated, summing to 1")
     bo.set_defaults(func=cmd_run_born)
 
     bd = rsub.add_parser("boundary", help="active reversal vs traced runway")
@@ -404,7 +412,7 @@ def build_parser() -> _Parser:
     common(cf)
     cf.add_argument("--n", type=int, default=6)
     cf.add_argument("--samples", type=int, default=10_000)
-    cf.add_argument("--tol", type=float, default=1e-10)
+    cf.add_argument("--tol", type=finite_float, default=1e-10)
     cf.set_defaults(func=cmd_run_conform)
 
     return parser
@@ -412,14 +420,14 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "build" and args.D is None:
-        tag = args.group.replace("x", " ").split()
-        try:
-            args.D = int(tag[0].lstrip("Z"))
-        except (ValueError, IndexError):
-            parser.error(f"cannot parse group tag {args.group!r}; pass --D")
     try:
+        args = parser.parse_args(argv)
+        if getattr(args, "command", None) == "build" and args.D is None:
+            tag = args.group.replace("x", " ").split()
+            try:
+                args.D = int(tag[0].lstrip("Z"))
+            except (ValueError, IndexError):
+                parser.error(f"cannot parse group tag {args.group!r}; pass --D")
         return args.func(args)
     except InputError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -102,41 +102,6 @@ class GateProgram:
                 total += s.n
         return total
 
-    def to_json(self) -> dict:
-        steps = []
-        for s in self.steps:
-            if isinstance(s, GateStep):
-                steps.append({"kind": "rotate", "pair": list(s.pair), "dalpha": s.dalpha,
-                              "beta": s.beta, "n": s.repeats, "wire_n": s.wire_n})
-            elif isinstance(s, MeasureStep):
-                steps.append({"kind": "measure", "pair": list(s.pair), "alpha": s.alpha,
-                              "n_m": s.n_m, "wire_n": s.wire_n})
-            elif isinstance(s, InitStep):
-                steps.append({"kind": "init", "pair": list(s.pair), "target_index": s.target_index,
-                              "n_m": s.n_m, "budget": s.budget, "wire_n": s.wire_n})
-            elif isinstance(s, WireStep):
-                steps.append({"kind": "wire", "n": s.n})
-        return {"steps": steps}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "GateProgram":
-        steps = []
-        for s in doc["steps"]:
-            kind = s["kind"]
-            if kind == "rotate":
-                steps.append(GateStep(tuple(s["pair"]), s["dalpha"], s.get("beta", 0.0),
-                                      s.get("wire_n"), s.get("n", 1)))
-            elif kind == "measure":
-                steps.append(MeasureStep(tuple(s["pair"]), s["alpha"], s["n_m"], s.get("wire_n")))
-            elif kind == "init":
-                steps.append(InitStep(tuple(s["pair"]), s["target_index"], s["n_m"],
-                                      s.get("budget", 1e-2), s.get("wire_n")))
-            elif kind == "wire":
-                steps.append(WireStep(s["n"]))
-            else:
-                raise ValidationError(f"unknown program step kind {kind!r}")
-        return cls(tuple(steps))
-
 
 # ---------------------------------------------------------------------------
 # generator set and Lie closure

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from . import gates
 from .channel import Analysis, PairFilter, VirtualState
@@ -494,20 +493,10 @@ def estimate_nu(
         p_flip = float(np.clip(1.0 - np.trace(projectors[0] @ sigma_rot).real, 0, 1))
         flips[b_idx] = rng.binomial(per_beta, p_flip) / per_beta
 
-    def model_fn(params):
-        a, psi = params
-        return np.sin(a * np.sin(betas + psi)) ** 2 - flips
-
-    best = None
-    for psi0 in np.linspace(-np.pi, np.pi, 9):
-        res = scipy.optimize.least_squares(model_fn, x0=[2 * alpha_probe * 0.2, psi0])
-        if best is None or res.cost < best.cost:
-            best = res
-    a_hat = abs(best.x[0])
+    a_hat, delta_mod_pi, jac = fit_flip_curve(betas, flips, 2 * alpha_probe * 0.2)
     abs_nu10 = a_hat / (2 * alpha_probe)
     # rough 1-sigma from the fit jacobian and binomial noise
     sig_p = np.sqrt(np.maximum(flips * (1 - flips), 1e-9) / per_beta)
-    jac = best.jac
     try:
         cov = np.linalg.inv(jac.T @ jac) * np.mean(sig_p ** 2)
         a_sigma = float(np.sqrt(abs(cov[0, 0])))
@@ -518,9 +507,52 @@ def estimate_nu(
         diag_sigma=diag_sigma,
         abs_nu10=float(abs_nu10),
         abs_nu10_sigma=float(a_sigma / (2 * alpha_probe)),
-        delta_mod_pi=float(best.x[1] % np.pi),
+        delta_mod_pi=delta_mod_pi,
         diag_truth=np.array([nu_true.nu[k, k].real for k in range(d)]),
         abs_nu10_truth=float(abs(nu_true.nu[1, 0])),
         betas=betas,
         flip_probabilities=flips,
     )
+
+
+def _flip_residuals(x: np.ndarray, betas: np.ndarray, flips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals sin^2(a sin(beta + psi)) - flips and their Jacobian in (a, psi)."""
+    a, psi = x
+    s, c = np.sin(betas + psi), np.cos(betas + psi)
+    slope = np.sin(2 * a * s)  # d sin^2(u) / du at u = a s
+    return np.sin(a * s) ** 2 - flips, np.column_stack([slope * s, slope * a * c])
+
+
+def fit_flip_curve(betas: np.ndarray, flips: np.ndarray, a0: float) -> tuple[float, float, np.ndarray]:
+    """Least-squares fit of flips ~ sin^2(a sin(beta + psi)).
+
+    Damped Gauss-Newton runs from (a0, psi0) for each psi0 of a 9-point grid on
+    [-pi, pi]; the lowest cost wins.  Returns |a|, psi mod pi and the analytic
+    Jacobian at the solution.
+    """
+    (a, psi), _, jac = min((_levenberg(betas, flips, np.array([a0, psi0]))
+                            for psi0 in np.linspace(-np.pi, np.pi, 9)), key=lambda fit: fit[1])
+    return float(abs(a)), float(psi % np.pi), jac
+
+
+def _levenberg(betas: np.ndarray, flips: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """Damped Gauss-Newton (Levenberg steps) from x: (solution, cost, Jacobian).
+
+    It stops once a step is at the rounding level of x, or once the damping
+    needed for a step that lowers the cost exceeds 1e16.
+    """
+    r, jac = _flip_residuals(x, betas, flips)
+    cost, lam = 0.5 * float(r @ r), 1e-3
+    for _ in range(200):
+        step = np.linalg.solve(jac.T @ jac + lam * np.eye(2), -jac.T @ r)
+        r_new, jac_new = _flip_residuals(x + step, betas, flips)
+        cost_new = 0.5 * float(r_new @ r_new)
+        if cost_new < cost:
+            x, r, jac, cost, lam = x + step, r_new, jac_new, cost_new, max(lam * 0.1, 1e-12)
+            if np.linalg.norm(step) <= 1e-15 * (1.0 + np.linalg.norm(x)):
+                break
+        else:
+            lam *= 10.0
+            if lam > 1e16:
+                break
+    return x, cost, jac

@@ -272,13 +272,6 @@ def _default_left(point: PhasePoint) -> np.ndarray:
     return v
 
 
-def sample_run(config: RunConfig, rng: np.random.Generator | None = None) -> TrajectoryRecord:
-    """One sampled run; identical records under identical seeds."""
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    return TrajectoryEngine(config).sample([rng])[0]
-
-
 def byproduct_from_outcomes(point: PhasePoint, outcomes) -> np.ndarray:
     """Recompute prod_k C_{s_k} (site order, latest factor leftmost) for wire runs."""
     g = np.eye(point.D, dtype=complex)
@@ -354,7 +347,8 @@ def boundary_equivalence(
     projective limit of the final measurement, so the two boundary treatments
     differ only through the weight operator Fbar^runway(|R><R|) conjugated by
     the accumulated byproduct.  The sampled branch runs the full protocol,
-    weak-measurement block included.
+    weak-measurement block included; trial t of boundary mode m draws from the
+    stream (seed, runway_n, m, t), so runways are sampled independently.
     """
     if not program.steps or not isinstance(program.steps[-1], gates.MeasureStep):
         raise ValidationError("program must end in a logical measurement")
@@ -413,7 +407,7 @@ def boundary_equivalence(
                             boundary=mode, runway_n=runway_n, trials=trials, seed=seed,
                             left_boundary=left, right_boundary=right_boundary)
             records = TrajectoryEngine(cfg).sample(
-                [np.random.default_rng((seed, m_idx, t)) for t in range(trials)])
+                [np.random.default_rng((seed, runway_n, m_idx, t)) for t in range(trials)])
             outs = np.array([rec.boundary_outcome for rec in records])
             idx = np.argmin(np.abs(np.angle(np.exp(1j * (phis[None, :] - outs[:, None])))), axis=1)
             freqs[mode] = np.bincount(idx, minlength=len(phis)) / trials

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -202,3 +205,51 @@ def test_analysis_pair(perturbed, cluster2_an):
         with pytest.raises(ValidationError):
             an.pair(bad)
     assert cluster2_an.labels == ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+# eigenphases and projectors of every pair observable, recorded from the
+# Schur-decomposition implementation (scipy.linalg.schur) that np.linalg.eig
+# replaced; the fixtures of one D share their byproducts, hence one table per D
+EIGENPHASE_REFERENCE = json.loads((Path(__file__).parent / "data" / "eigenphase_schur.json").read_text())
+
+
+@pytest.mark.parametrize("fixture", ["cluster2", "cluster3", "perturbed", "perturbed3", "mixed"])
+def test_eigenphase_groups_match_schur_reference(request, fixture):
+    point = request.getfixturevalue(fixture)
+    table = EIGENPHASE_REFERENCE[str(point.D)]
+    assert len(table) == point.d * (point.d - 1) // 2
+    for key, ref in table.items():
+        pair = tuple(int(k) for k in key.split(","))
+        phis, projectors = channel.eigenphase_groups(channel.pair_operator(point, pair))
+        np.testing.assert_allclose(phis, ref["phases"], rtol=0, atol=1e-12)
+        ref_proj = np.array([[[complex(*v) for v in row] for row in p] for p in ref["projectors"]])
+        np.testing.assert_allclose(np.array(projectors), ref_proj, rtol=0, atol=1e-12)
+    # the eigenvalue -1 of a qubit Pauli has phase +pi; D=3 phases are 0 and +-2 pi/3
+    expected = [0.0, np.pi] if point.D == 2 else [-2 * np.pi / 3, 0.0, 2 * np.pi / 3]
+    np.testing.assert_allclose(channel.eigenphase_groups(point.C[1])[0], expected, atol=1e-12)
+
+
+@given(seed=st.integers(0, 2**32 - 1), mults=st.lists(st.integers(1, 3), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_eigenphase_groups_degenerate_unitary(seed, mults):
+    # a Haar-random basis with a degenerate spectrum that holds -1 (mults[0] times)
+    rng = np.random.default_rng(seed)
+    grid = np.arange(-11, 12) * np.pi / 12
+    phases = np.concatenate([[np.pi], rng.choice(grid, len(mults) - 1, replace=False)])
+    spectrum = np.repeat(phases, mults)
+    dim = len(spectrum)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    C = (q * np.exp(1j * spectrum)) @ q.conj().T
+    phis, projectors = channel.eigenphase_groups(C)
+    order = np.argsort(phases)
+    np.testing.assert_allclose(phis, phases[order], rtol=0, atol=1e-12)
+    assert np.all(phis > -np.pi) and np.all(phis <= np.pi)
+    eye = np.eye(dim)
+    for k, p in enumerate(projectors):
+        np.testing.assert_allclose(p, p.conj().T, atol=1e-12)
+        np.testing.assert_allclose(p @ p, p, atol=1e-12)
+        assert np.trace(p).real == pytest.approx(mults[order[k]], abs=1e-12)
+        for other in projectors[k + 1:]:
+            np.testing.assert_allclose(p @ other, 0, atol=1e-12)
+    np.testing.assert_allclose(sum(projectors), eye, atol=1e-12)
+    np.testing.assert_allclose(sum(np.exp(1j * f) * p for f, p in zip(phis, projectors)), C, atol=1e-12)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +86,29 @@ def test_run_gate_nonfinite_angle(tmp_path, model_file, angle):
     assert run(["run", "gate", "--model", str(model_file), *angle, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [
+    ["run", "measure", "--model", "{model}", "--alpha"],
+    ["run", "gate", "--model", "{model}", "--beta"],
+    ["run", "conform", "--model", "{model}", "--tol"],
+    ["model", "perturb", "--junk-dim", "2", "--seed", "7", "--strength"],
+])
+def test_nonfinite_float_flag_exit_code(tmp_path, model_file, argv, value, capsys):
+    *argv, flag = [a.format(model=model_file) for a in argv]
+    assert run([*argv, f"{flag}={value}", "--out", str(tmp_path)]) == 2
+    assert "not a finite number" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_import_is_scipy_free():
+    # the package runs on numpy alone: importing the CLI loads no scipy module
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, sptmbqc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_linalg_error_exit_code(tmp_path, model_file, monkeypatch):
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -132,7 +159,7 @@ def test_run_born(tmp_path, model_file):
     assert abs(freqs[0.0] - 0.7) < 0.1
 
 
-@pytest.mark.parametrize("state", ["a,b", "nan,1", "0,0", "-0.5,1.5"])
+@pytest.mark.parametrize("state", ["a,b", "nan,1", "0,0", "-0.5,1.5", "2,2", "0.5,0.4"])
 def test_run_born_rejects_bad_state(tmp_path, model_file, state, capsys):
     assert run(["run", "born", "--model", str(model_file), "--trials", "20", "--nm", "10",
                 f"--state={state}", "--out", str(tmp_path)]) == 2

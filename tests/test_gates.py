@@ -204,19 +204,6 @@ def test_step_channel_valid(perturbed_an):
     gates.validate_channel(ch)
 
 
-def test_program_json_roundtrip():
-    program = gates.GateProgram((
-        gates.GateStep((0, 1), 0.01, 0.2, wire_n=30, repeats=5),
-        gates.MeasureStep((0, 2), 0.7, 100, wire_n=25),
-        gates.InitStep((0, 1), 1, 200, budget=1e-3),
-        gates.WireStep(12),
-    ))
-    doc = program.to_json()
-    assert doc["steps"][0]["kind"] == "rotate" and doc["steps"][0]["n"] == 5
-    back = gates.GateProgram.from_json(doc)
-    assert back == program
-
-
 def test_small_angle_warning():
     with pytest.warns(UserWarning):
         gates.GateStep((0, 1), 0.5)

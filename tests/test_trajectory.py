@@ -21,11 +21,11 @@ def test_cluster_wire_uniform_outcomes(cluster2_an):
     assert np.all(np.abs(freqs - 0.25) <= 3 * np.sqrt(0.25 * 0.75 / (5 * trials)))
 
 
-def test_sample_run_deterministic(perturbed_an):
+def test_engine_sample_deterministic(perturbed_an):
     cfg = traj.RunConfig(analysis=perturbed_an, program=wire_program(8), seed=42,
                          procedure=traj.Procedure.PROCEDURE_I)
-    a = traj.sample_run(cfg)
-    b = traj.sample_run(cfg)
+    a = traj.TrajectoryEngine(cfg).sample([np.random.default_rng(cfg.seed)])[0]
+    b = traj.TrajectoryEngine(cfg).sample([np.random.default_rng(cfg.seed)])[0]
     assert a.outcomes == b.outcomes
     np.testing.assert_array_equal(a.final_state.rho, b.final_state.rho)
 
@@ -33,7 +33,7 @@ def test_sample_run_deterministic(perturbed_an):
 def test_byproduct_bookkeeping(perturbed, perturbed_an):
     cfg = traj.RunConfig(analysis=perturbed_an, program=wire_program(10), seed=5,
                          procedure=traj.Procedure.PROCEDURE_I)
-    rec = traj.sample_run(cfg)
+    rec = traj.TrajectoryEngine(cfg).sample([np.random.default_rng(cfg.seed)])[0]
     np.testing.assert_allclose(
         rec.byproduct, traj.byproduct_from_outcomes(perturbed, rec.outcomes), atol=1e-12)
 
@@ -54,7 +54,7 @@ def test_procedure_ii_logical_invariance(perturbed_an):
 def test_procedure_iii_erases_record(perturbed_an):
     cfg = traj.RunConfig(analysis=perturbed_an, program=wire_program(6),
                          procedure=traj.Procedure.PROCEDURE_III, seed=1)
-    rec = traj.sample_run(cfg)
+    rec = traj.TrajectoryEngine(cfg).sample([np.random.default_rng(cfg.seed)])[0]
     assert rec.outcomes is None
     assert rec.byproduct is None
     assert rec.outcome_counts.sum() == 6
@@ -164,6 +164,27 @@ def test_boundary_equivalence_sampled(perturbed_fix, perturbed_an):
     assert rep.tv_sampled <= 4 * np.sqrt(0.5 / 60)
 
 
+def test_boundary_runways_sample_independently(perturbed_fix, perturbed_an, monkeypatch):
+    # two runways whose exact weights agree (PHI_TILDE never reads the runway;
+    # PHI_RUNWAY has converged by 40 sites) still draw their own trials
+    sampled = []
+    sample = traj.TrajectoryEngine.sample
+
+    def recording(engine, rngs):
+        records = sample(engine, rngs)
+        sampled.append([rec.boundary_outcome for rec in records])
+        return records
+
+    monkeypatch.setattr(traj.TrajectoryEngine, "sample", recording)
+    program = gates.GateProgram((gates.MeasureStep((0, 2), np.pi / 4, 10, wire_n=5),))
+    left = np.kron(np.eye(2) / 2, perturbed_fix.rho)
+    reps = [traj.boundary_equivalence(perturbed_an, program, runway_n=r, trials=20,
+                                      left_boundary=left, seed=3) for r in (40, 41)]
+    np.testing.assert_allclose(reps[0].p_runway, reps[1].p_runway, atol=1e-12)
+    (tilde_40, runway_40), (tilde_41, runway_41) = sampled[:2], sampled[2:]
+    assert tilde_40 != tilde_41 and runway_40 != runway_41
+
+
 def test_boundary_requires_final_measurement(perturbed_an):
     with pytest.raises(ValidationError):
         traj.boundary_equivalence(perturbed_an, wire_program(3), runway_n=5)
@@ -186,7 +207,7 @@ def test_init_step_rejected_in_sampling(perturbed_an):
     program = gates.GateProgram((gates.InitStep((0, 1), 0, 100),))
     cfg = traj.RunConfig(analysis=perturbed_an, program=program)
     with pytest.raises(ValidationError):
-        traj.sample_run(cfg)
+        traj.TrajectoryEngine(cfg).sample([np.random.default_rng(cfg.seed)])[0]
 
 
 def test_measure_step_seed_stream_contract(cluster2, cluster2_an):
@@ -196,7 +217,7 @@ def test_measure_step_seed_stream_contract(cluster2, cluster2_an):
     n_m = 60
     program = gates.GateProgram((gates.MeasureStep((0, 1), np.pi / 4, n_m, wire_n=0),))
     cfg = traj.RunConfig(analysis=cluster2_an, program=program, seed=0)
-    rec = traj.sample_run(cfg, np.random.default_rng(77))
+    rec = traj.TrajectoryEngine(cfg).sample([np.random.default_rng(77)])[0]
 
     rng = np.random.default_rng(77)
     fix = channel.fixed_point(channel.junk_channel(cluster2))
