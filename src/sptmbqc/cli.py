@@ -42,6 +42,24 @@ def finite_float(text: str) -> float:
     return value
 
 
+def int_at_least(low: int):
+    """argparse type factory: an integer that is at least `low` (else exit 2)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValidationError(f"{text!r} is not an integer >= {low}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its message for a non-integer
+    return parse
+
+
+def nonneg_int_list(text: str) -> list[int]:
+    """argparse type: comma-separated integers, each at least 0 (else exit 2)."""
+    return [int_at_least(0)(x) for x in text.split(",")]
+
+
 def _fmt(v) -> str:
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
@@ -158,7 +176,7 @@ def cmd_run_wire(args) -> int:
     if args.trajectories > 0:
         cfg = trajectory.RunConfig(analysis=analysis, program=gates.GateProgram((gates.WireStep(args.n),)),
                                    procedure=trajectory.Procedure.PROCEDURE_II,
-                                   left_boundary=L, seed=args.seed)
+                                   left_boundary=L)
         records = trajectory.TrajectoryEngine(cfg).sample(
             [np.random.default_rng((args.seed, t)) for t in range(args.trajectories)])
         trajectory.write_records_jsonl(records, Path(args.out) / "trajectories.jsonl")
@@ -363,8 +381,8 @@ def build_parser() -> _Parser:
 
     w = rsub.add_parser("wire", help="factorization residual vs wire length")
     common(w)
-    w.add_argument("--n", type=int, default=200)
-    w.add_argument("--trajectories", type=int, default=0,
+    w.add_argument("--n", type=int_at_least(0), default=200)
+    w.add_argument("--trajectories", type=int_at_least(0), default=0,
                    help="also sample this many wire runs into a JSONL log")
     w.set_defaults(func=cmd_run_wire)
 
@@ -380,38 +398,37 @@ def build_parser() -> _Parser:
     me = rsub.add_parser("measure", help="weak-measurement estimate scatter")
     common(me)
     me.add_argument("--pair", type=int, nargs=2, default=(0, 1))
-    me.add_argument("--nm", type=int, default=1600)
+    me.add_argument("--nm", type=int_at_least(2), default=1600)
     me.add_argument("--alpha", type=finite_float, default=np.pi / 4)
-    me.add_argument("--trials", type=int, default=200)
+    me.add_argument("--trials", type=int_at_least(1), default=200)
     me.add_argument("--curves", action="store_true", help="also emit accumulated filter curves")
     me.set_defaults(func=cmd_run_measure)
 
     nu = rsub.add_parser("nu", help="exact nu matrix export and sampled self-test")
     common(nu)
-    nu.add_argument("--samples", type=int, default=100_000)
+    nu.add_argument("--samples", type=int_at_least(1), default=100_000)
     nu.add_argument("--exact-only", dest="exact_only", action="store_true")
     nu.set_defaults(func=cmd_run_nu)
 
     bo = rsub.add_parser("born", help="Born-rule statistics for a mixed logical input")
     common(bo)
     bo.add_argument("--pair", type=int, nargs=2, default=(0, 1))
-    bo.add_argument("--trials", type=int, default=10_000)
-    bo.add_argument("--nm", type=int, default=600)
+    bo.add_argument("--trials", type=int_at_least(1), default=10_000)
+    bo.add_argument("--nm", type=int_at_least(2), default=600)
     bo.add_argument("--state", default="0.7,0.3", help="eigenphase weights, comma separated, summing to 1")
     bo.set_defaults(func=cmd_run_born)
 
     bd = rsub.add_parser("boundary", help="active reversal vs traced runway")
     common(bd)
-    bd.add_argument("--runways", type=lambda s: [int(x) for x in s.split(",")],
-                    default=[0, 5, 25, 140])
-    bd.add_argument("--trials", type=int, default=0)
+    bd.add_argument("--runways", type=nonneg_int_list, default=[0, 5, 25, 140])
+    bd.add_argument("--trials", type=int_at_least(0), default=0)
     bd.add_argument("--nm", type=int, default=20)
     bd.set_defaults(func=cmd_run_boundary)
 
     cf = rsub.add_parser("conform", help="dense-oracle conformance suite")
     common(cf)
     cf.add_argument("--n", type=int, default=6)
-    cf.add_argument("--samples", type=int, default=10_000)
+    cf.add_argument("--samples", type=int_at_least(1), default=10_000)
     cf.add_argument("--tol", type=finite_float, default=1e-10)
     cf.set_defaults(func=cmd_run_conform)
 

@@ -265,8 +265,8 @@ def basis_matrix(d: int, pair: tuple[int, int], alpha: float, beta: float) -> np
     return u
 
 
-def step_virtual_ops(point: PhasePoint, pair: tuple[int, int], alpha: float, beta: float) -> list[np.ndarray]:
-    """Byproduct-corrected virtual action for each outcome of one tilted-basis site.
+def step_virtual_ops(point: PhasePoint, pair: tuple[int, int], alpha: float, beta: float) -> np.ndarray:
+    """Byproduct-corrected virtual action for each outcome of one tilted-basis site, shape (d, Db, Db).
 
     Outcome k is labeled by the wire-basis index its basis vector is dominated
     by; the correction applied is C_k^-1 on the logical factor.
@@ -278,7 +278,7 @@ def step_virtual_ops(point: PhasePoint, pair: tuple[int, int], alpha: float, bet
     for k in range(point.d):
         m = sum(np.conj(u[i, k]) * tensors[i] for i in range(point.d) if u[i, k] != 0)
         ops.append(np.kron(point.C[k].conj().T, ident_j) @ m)
-    return ops
+    return np.stack(ops)
 
 
 def wire_superop(point: PhasePoint) -> np.ndarray:
@@ -291,41 +291,20 @@ def wire_superop(point: PhasePoint) -> np.ndarray:
     return sum(np.kron(np.kron(ident, b), np.kron(ident, b).conj()) for b in point.B)
 
 
-def step_virtual_superop(
-    analysis: Analysis,
-    pair: tuple[int, int],
-    alpha: float,
-    beta: float,
-    wire_n: int,
-    paths: str = "all",
-) -> np.ndarray:
-    """Bond-space superoperator of (outcome path sum) followed by wire_n wire sites."""
-    point = analysis.point
-    ops = step_virtual_ops(point, pair, alpha, beta)
-    if paths == "all":
-        selected = range(point.d)
-    elif paths == "pair":
-        selected = pair
-    else:
-        raise ValueError("paths must be 'all' or 'pair'")
-    v = sum(np.kron(ops[k], ops[k].conj()) for k in selected)
-    # column c of v is the vectorized image of the c-th matrix unit; wire each image
-    Db = point.Db
-    return analysis.wire(v.T.reshape(Db * Db, Db, Db), wire_n).reshape(Db * Db, Db * Db).T
+def outcome_states(analysis: Analysis, ops: np.ndarray, x: np.ndarray,
+                   wire_n: int | None = None) -> np.ndarray:
+    """The tilted-site map: op_k x op_k^dag followed by wire_n wire sites, for each outcome k.
 
-
-def _logical_from_virtual(S: np.ndarray, D: int, Dj: int, rho_fix: np.ndarray) -> LogicalChannel:
-    T = np.empty((D * D, D * D), dtype=complex)
-    for c in range(D):
-        for dd in range(D):
-            e = np.zeros((D, D), dtype=complex)
-            e[c, dd] = 1.0
-            out = unvec(S @ vec(np.kron(e, rho_fix)))
-            sigma = out.reshape(D, Dj, D, Dj).trace(axis1=1, axis2=3)
-            T[:, c * D + dd] = sigma.reshape(-1)
-    out_tr = np.einsum("aacd->cd", T.reshape(D, D, D, D))
-    scale = np.trace(out_tr).real / D
-    return LogicalChannel(T / scale, D)
+    `ops` (n_out, Db, Db) are per-outcome virtual actions (`step_virtual_ops`),
+    `x` bond-space operators of shape (..., Db, Db); the result has shape
+    (n_out, ..., Db, Db) and is not renormalized.  wire_n None picks the model's
+    wire length.
+    """
+    if wire_n is None:
+        wire_n = analysis.wire_length
+    x = np.asarray(x, dtype=complex)
+    ops = np.asarray(ops).reshape((-1,) + (1,) * (x.ndim - 2) + x.shape[-2:])
+    return analysis.wire(ops @ x @ ops.conj().swapaxes(-1, -2), wire_n)
 
 
 def step_channel(
@@ -334,39 +313,36 @@ def step_channel(
     alpha: float,
     beta: float,
     wire_n: int | None = None,
-    variant: str = "deterministic",
 ) -> LogicalChannel:
-    """Exact logical channel of one tilted-basis step on a fixed-point junk input."""
-    if wire_n is None:
-        wire_n = analysis.wire_length
-    paths = "all" if variant == "deterministic" else "pair"
-    S = step_virtual_superop(analysis, pair, alpha, beta, wire_n, paths)
-    return _logical_from_virtual(S, analysis.point.D, analysis.point.Dj, analysis.fix.rho)
+    """Exact logical channel of one tilted-basis step on a fixed-point junk input.
+
+    Column c D + d is the junk trace of the outcome sum of `outcome_states` on
+    |c><d| (x) rho_fix; the channel is scaled so that the mean trace of the
+    images of |c><c| is one.
+    """
+    point = analysis.point
+    D, Dj = point.D, point.Dj
+    units = np.kron(np.eye(D * D, dtype=complex).reshape(D * D, D, D), analysis.fix.rho)
+    out = outcome_states(analysis, step_virtual_ops(point, pair, alpha, beta), units, wire_n).sum(axis=0)
+    T = out.reshape(D * D, D, Dj, D, Dj).trace(axis1=2, axis2=4).reshape(D * D, D * D).T
+    scale = np.trace(np.einsum("aacd->cd", T.reshape(D, D, D, D))).real / D
+    return LogicalChannel(T / scale, D)
 
 
-def rotation_step_channel(
-    analysis: Analysis,
-    step: GateStep,
-    variant: str = "deterministic",
-) -> LogicalChannel:
+def rotation_step_channel(analysis: Analysis, step: GateStep) -> LogicalChannel:
     """One small-angle gate step; the basis angle is arctan(dalpha) so the
     unnormalized first-order basis vectors |i> + dalpha e^{i beta}|j> are reproduced exactly."""
-    return step_channel(
-        analysis, step.pair, np.arctan(step.dalpha), step.beta,
-        wire_n=step.wire_n, variant=variant,
-    )
+    return step_channel(analysis, step.pair, np.arctan(step.dalpha), step.beta, wire_n=step.wire_n)
 
 
 def rotation_target_unitary(analysis: Analysis, pair: tuple[int, int],
-                            alpha: float, beta: float, variant: str = "deterministic") -> np.ndarray:
+                            alpha: float, beta: float) -> np.ndarray:
     """exp(i alpha h) for the Hermitian generator h = |nu_ji| (e^{-i(beta+delta)} C - h.c.)/i
-    of the realized rotation; the heralded variant divides h by nu_ii + nu_jj."""
+    of the realized rotation."""
     obs = analysis.pair(pair)
     f = obs.filter
     m = abs(f.nu_ji) * np.exp(-1j * (beta + f.delta)) * obs.C
     h = (m - m.conj().T) / 1j
-    if variant == "heralded":
-        h = h / (f.nu_ii + f.nu_jj)
     w, v = np.linalg.eigh(h)
     return v @ np.diag(np.exp(1j * alpha * w)) @ v.conj().T
 
@@ -386,16 +362,15 @@ def finite_rotation(
     beta: float,
     N: int,
     wire_n: int | None = None,
-    variant: str = "deterministic",
 ) -> FiniteRotation:
     """Finite-angle rotation as N small steps of dalpha = alpha/N, with its distance to the target."""
     if N < 1:
         raise ValidationError("N must be >= 1")
     if not (np.isfinite(alpha) and np.isfinite(beta)):
         raise ValidationError(f"rotation angles must be finite, got alpha={alpha}, beta={beta}")
-    step = step_channel(analysis, pair, np.arctan(alpha / N), beta, wire_n=wire_n, variant=variant)
+    step = step_channel(analysis, pair, np.arctan(alpha / N), beta, wire_n=wire_n)
     chan = step.power(N)
-    target = rotation_target_unitary(analysis, pair, alpha, beta, variant)
+    target = rotation_target_unitary(analysis, pair, alpha, beta)
     return FiniteRotation(
         channel=chan,
         target=target,
@@ -447,11 +422,7 @@ def principal_vector(projector: np.ndarray) -> np.ndarray:
     return v[:, -1]
 
 
-def compose_program(
-    analysis: Analysis,
-    program: GateProgram,
-    variant: str = "deterministic",
-) -> LogicalChannel:
+def compose_program(analysis: Analysis, program: GateProgram) -> LogicalChannel:
     """Sequential step channels; valid because byproducts propagate through adapted bases.
 
     Raises SymmetryConditionViolated when the byproduct operators are not
@@ -463,7 +434,7 @@ def compose_program(
     total = identity_channel(point.D)
     for step in program.steps:
         if isinstance(step, GateStep):
-            ch = rotation_step_channel(analysis, step, variant=variant)
+            ch = rotation_step_channel(analysis, step)
             if step.repeats > 1:
                 ch = ch.power(step.repeats)
         elif isinstance(step, MeasureStep):

@@ -78,14 +78,6 @@ def wrap_angle(x):
 # ---------------------------------------------------------------------------
 # full virtual-space weak measurement
 
-def outcome_states(state: VirtualState, analysis: Analysis, ops, wire_n: int | None = None) -> np.ndarray:
-    """Unnormalized post-step virtual states, one per outcome op, each followed by the wire."""
-    if wire_n is None:
-        wire_n = analysis.wire_length
-    raw = np.stack([op @ state.rho @ op.conj().T for op in ops])
-    return analysis.wire(raw, wire_n)
-
-
 def draw_outcomes(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """One outcome per row of probs (T, n_out) from uniform draws (T,).
 
@@ -114,7 +106,7 @@ def weak_measure_step(
     `ops` are the per-outcome virtual actions of the measured basis
     (`gates.step_virtual_ops`).
     """
-    outs = outcome_states(state, analysis, ops, wire_n)
+    outs = gates.outcome_states(analysis, ops, state.rho, wire_n)
     probs = np.array([[np.trace(o).real for o in outs]])
     k = int(draw_outcomes(probs, np.array([rng.random()]))[0])
     rho = outs[k] / np.trace(outs[k]).real
@@ -343,25 +335,17 @@ def born_statistics(
     n_m: int,
     rng: np.random.Generator,
     alpha: float = np.pi / 4,
-    method: str = "filter",
 ) -> BornReport:
-    """Empirical distribution of measurement outcomes over fresh copies of sigma."""
+    """Empirical distribution of measurement outcomes over fresh copies of sigma,
+    drawn with the filter sampler."""
     obs = analysis.pair(pair)
     eigenphases = obs.eigenphases
     born = np.array([np.trace(p @ sigma).real for p in obs.projectors])
     params = obs.filter
-    if method == "filter":
-        pops = np.array([max(b, 0.0) for b in born])
-        schedule = gates.MeasureStep(pair, alpha, n_m).schedule
-        seg_counts, _ = filter_trajectories(params, eigenphases, pops, schedule, trials, alpha, rng)
-        matched = interpret_counts(params, alpha, seg_counts[0], seg_counts[1], eigenphases)["matched_index"]
-    elif method == "virtual":
-        matched = np.empty(trials, dtype=int)
-        for t in range(trials):
-            res = measure_observable(sigma, analysis, pair, n_m, alpha, rng)
-            matched[t] = res.matched_index
-    else:
-        raise ValueError("method must be 'filter' or 'virtual'")
+    pops = np.array([max(b, 0.0) for b in born])
+    schedule = gates.MeasureStep(pair, alpha, n_m).schedule
+    seg_counts, _ = filter_trajectories(params, eigenphases, pops, schedule, trials, alpha, rng)
+    matched = interpret_counts(params, alpha, seg_counts[0], seg_counts[1], eigenphases)["matched_index"]
     freqs = np.bincount(matched, minlength=len(eigenphases)) / trials
     sig = np.sqrt(np.clip(born * (1 - born), 0, None) / trials)
     return BornReport(eigenphases=eigenphases, frequencies=freqs, born_reference=born,

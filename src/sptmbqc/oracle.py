@@ -242,9 +242,7 @@ def scenario_gate_step(analysis: Analysis, n: int, L: np.ndarray, pair, dalpha: 
     tau_oracle /= np.trace(tau_oracle).real
 
     ops = gates.step_virtual_ops(point, pair, np.arctan(dalpha), beta)
-    tau0 = np.outer(L, L.conj())
-    x = sum(op @ tau0 @ op.conj().T for op in ops)
-    tau_chan = analysis.wire(x, n - 1)
+    tau_chan = gates.outcome_states(analysis, ops, np.outer(L, L.conj()), n - 1).sum(axis=0)
     tau_chan /= np.trace(tau_chan).real
     return {"gate_step_state": float(np.max(np.abs(tau_oracle - tau_chan)))}
 
@@ -260,8 +258,7 @@ def scenario_weak_step(analysis: Analysis, n: int, L: np.ndarray, pair, alpha: f
     rows = rev.boundary_states.reshape(d, -1, point.Db)
 
     ops = gates.step_virtual_ops(point, pair, alpha, beta)
-    tau0 = np.outer(L, L.conj())
-    xs = analysis.wire(np.stack([op @ tau0 @ op.conj().T for op in ops]), n - 1)
+    xs = gates.outcome_states(analysis, ops, np.outer(L, L.conj()), n - 1)
     dev_p = 0.0
     dev_state = 0.0
     p_chan = np.empty(d)
@@ -368,7 +365,7 @@ def conformance_suite(point: PhasePoint, n: int, rng: np.random.Generator,
     L_prod = np.kron(l, j)
     R = random_unit_vector(rng, point.Db)
 
-    # the bond-space side of the step scenarios runs the engine's own wire map
+    # the bond-space side of the step scenarios runs the engine's own tilted-site map
     analysis = analyze(point)
     devs = {}
     devs.update(scenario_wire(point, n, l, j))

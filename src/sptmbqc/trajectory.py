@@ -26,6 +26,7 @@ import numpy as np
 from . import gates, measurement
 from .channel import (
     Analysis,
+    Channel,
     VirtualState,
     fixed_point,
     reverse_full_channel,
@@ -61,16 +62,12 @@ class RunConfig:
     procedure: Procedure = Procedure.PROCEDURE_II
     boundary: BoundaryMode = BoundaryMode.PHI_TILDE
     runway_n: int = 0
-    trials: int = 1
-    seed: int = 0
     left_boundary: np.ndarray | None = None
     right_boundary: np.ndarray | None = None
 
     def __post_init__(self):
         if self.runway_n < 0:
             raise ValidationError("runway_n must be >= 0")
-        if self.trials < 1:
-            raise ValidationError("trials must be >= 1")
         _check_boundary("left_boundary", self.left_boundary)
         _check_boundary("right_boundary", self.right_boundary)
 
@@ -113,7 +110,7 @@ def expand_sites(analysis: Analysis, program: gates.GateProgram) -> tuple[list[_
             sites.extend([wire] * step.n)
         elif isinstance(step, gates.GateStep):
             wn = step.wire_n if step.wire_n is not None else analysis.wire_length
-            ops = np.stack(gates.step_virtual_ops(point, step.pair, np.arctan(step.dalpha), step.beta))
+            ops = gates.step_virtual_ops(point, step.pair, np.arctan(step.dalpha), step.beta)
             one = [_Site(ops=ops, kind="gate", adapted=True, pair=step.pair)] + [wire] * wn
             sites.extend(one * step.repeats)
         elif isinstance(step, gates.MeasureStep):
@@ -121,7 +118,7 @@ def expand_sites(analysis: Analysis, program: gates.GateProgram) -> tuple[list[_
             seg = len(segments)
             segments.append(step)
             for half, (n_steps, beta) in enumerate(step.schedule):
-                ops = np.stack(gates.step_virtual_ops(point, step.pair, step.alpha, beta))
+                ops = gates.step_virtual_ops(point, step.pair, step.alpha, beta)
                 block = [_Site(ops=ops, kind="measure", adapted=True, segment=seg, half=half,
                                pair=step.pair)] + [wire] * wn
                 sites.extend(block * n_steps)
@@ -143,6 +140,15 @@ def _left_density(point: PhasePoint, left) -> np.ndarray:
     return left / np.trace(left).real
 
 
+def runway_weight(fbar: Channel, right_boundary, n: int) -> np.ndarray:
+    """Fbar^n(|R><R|): the weight of an n-site traced runway behind the <R| boundary."""
+    r = np.asarray(right_boundary, dtype=complex).reshape(-1)
+    w = np.outer(r, r.conj())
+    for _ in range(n):
+        w = fbar.apply(w)
+    return w
+
+
 class TrajectoryEngine:
     """Precomputed site plan, future weights, and interpretation data for one config."""
 
@@ -158,10 +164,7 @@ class TrajectoryEngine:
         else:
             if config.right_boundary is None:
                 raise ValidationError("PHI_RUNWAY mode needs a right boundary vector")
-            r = np.asarray(config.right_boundary, dtype=complex).reshape(-1)
-            base = np.outer(r, r.conj())
-            for _ in range(config.runway_n):
-                base = fbar.apply(base)
+            base = runway_weight(fbar, config.right_boundary, config.runway_n)
         n = len(self.sites)
         self.weights: list[np.ndarray] = [None] * (n + 1)
         self.weights[n] = base
@@ -287,12 +290,15 @@ class PathSumResult:
     stderr: float
 
 
-def add_paths(config: RunConfig, exact: bool = False, max_strings: int = 1 << 16) -> PathSumResult:
-    """Path sum of corrected trajectories: Monte Carlo average, or exact enumeration.
+def add_paths(config: RunConfig, trials: int, seed: int, exact: bool = False,
+              max_strings: int = 1 << 16) -> PathSumResult:
+    """Path sum of corrected trajectories: Monte Carlo average over `trials` runs, or exact enumeration.
 
     Per-trial streams are spawned from (seed, trial index), so the estimate is
     independent of execution order.
     """
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
     point = config.analysis.point
     if exact:
         sites, _ = expand_sites(config.analysis, config.program)
@@ -308,14 +314,13 @@ def add_paths(config: RunConfig, exact: bool = False, max_strings: int = 1 << 16
         rho = vecs.T @ vecs.conj()
         return PathSumResult(state=VirtualState(rho / np.trace(rho).real, point.D, point.Dj),
                              n_paths=vecs.shape[0], stderr=0.0)
-    records = TrajectoryEngine(config).sample(
-        [np.random.default_rng((config.seed, t)) for t in range(config.trials)])
+    records = TrajectoryEngine(config).sample([np.random.default_rng((seed, t)) for t in range(trials)])
     rhos = np.stack([rec.final_state.rho for rec in records])
     mean = rhos.mean(axis=0)
-    var = max(np.sum(np.abs(rhos) ** 2) / config.trials - np.linalg.norm(mean) ** 2, 0.0)
-    stderr = float(np.sqrt(var / config.trials))
+    var = max(np.sum(np.abs(rhos) ** 2) / trials - np.linalg.norm(mean) ** 2, 0.0)
+    stderr = float(np.sqrt(var / trials))
     return PathSumResult(state=VirtualState(mean / np.trace(mean).real, point.D, point.Dj),
-                         n_paths=config.trials, stderr=stderr)
+                         n_paths=trials, stderr=stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +383,9 @@ def boundary_equivalence(
     obs = analysis.pair(final.pair)
     phis, projectors = obs.eigenphases, obs.projectors
     ident_j = np.eye(point.Dj)
-    fbar = reverse_full_channel(point)
     if right_boundary is None:
         right_boundary = _default_left(point)
-    r = np.asarray(right_boundary, dtype=complex).reshape(-1)
-    w_run = np.outer(r, r.conj())
-    for _ in range(runway_n):
-        w_run = fbar.apply(w_run)
+    w_run = runway_weight(reverse_full_channel(point), right_boundary, runway_n)
 
     p_tilde = np.zeros(len(phis))
     p_run = np.zeros(len(phis))
@@ -404,7 +405,7 @@ def boundary_equivalence(
         freqs = {}
         for m_idx, mode in enumerate(BoundaryMode):
             cfg = RunConfig(analysis=analysis, program=program, procedure=Procedure.PROCEDURE_II,
-                            boundary=mode, runway_n=runway_n, trials=trials, seed=seed,
+                            boundary=mode, runway_n=runway_n,
                             left_boundary=left, right_boundary=right_boundary)
             records = TrajectoryEngine(cfg).sample(
                 [np.random.default_rng((seed, runway_n, m_idx, t)) for t in range(trials)])

@@ -165,7 +165,7 @@ def test_criterion_7_born_rule(perturbed, perturbed_fix, perturbed_an):
     sigma_r = random_density(2, rng)
     state = channel.VirtualState.product(sigma_r, perturbed_fix.rho)
     ops = gates.step_virtual_ops(perturbed, (0, 1), 0.7, 1.1)
-    summed = sum(meas.outcome_states(state, perturbed_an, ops))
+    summed = sum(gates.outcome_states(perturbed_an, ops, state.rho))
     sig_out = channel.VirtualState(summed, 2, 2).logical_state()
     diag_dev = max(abs(np.trace(p @ sigma_r).real - np.trace(p @ sig_out).real) for p in projs)
     ok = born_ok and diag_dev < 1e-12

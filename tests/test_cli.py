@@ -100,6 +100,26 @@ def test_nonfinite_float_flag_exit_code(tmp_path, model_file, argv, value, capsy
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["wire", "--n", "-3"],
+    ["wire", "--trajectories", "-1"],
+    ["measure", "--trials", "0"],
+    ["measure", "--nm", "1"],
+    ["born", "--nm", "0"],
+    ["born", "--trials", "0"],
+    ["nu", "--samples", "0"],
+    ["boundary", "--runways", "-2"],
+    ["boundary", "--runways", "0,-2"],
+    ["boundary", "--trials", "-1"],
+    ["conform", "--samples", "0"],
+])
+def test_out_of_range_count_flag_exit_code(tmp_path, model_file, argv, capsys):
+    command, flag, value = argv
+    assert run(["run", command, "--model", str(model_file), f"{flag}={value}", "--out", str(tmp_path)]) == 2
+    assert "not an integer >=" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_import_is_scipy_free():
     # the package runs on numpy alone: importing the CLI loads no scipy module
     src = str(Path(cli.__file__).resolve().parents[1])

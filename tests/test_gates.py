@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sptmbqc import channel, gates, model, trajectory
-from sptmbqc.errors import ClosureTooSmall, MaxDimExceeded, SymmetryConditionViolated, ValidationError
+from sptmbqc.errors import (ClosureTooSmall, MaxDimExceeded, NumericalFailure, SymmetryConditionViolated,
+                            ValidationError)
 from conftest import random_density
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -86,15 +89,16 @@ def test_first_order_law_all_models(request, fixture):
 
 
 def test_anticommutator_cancellation(perturbed, perturbed_nu, perturbed_fix, perturbed_an):
-    # the heralded two-path sum has no first-order trace change
+    # the two-path sum over the pair's outcomes has no first-order trace change
     rng = np.random.default_rng(0)
     sigma = random_density(2, rng)
     tau = np.kron(sigma, perturbed_fix.rho)
     wire_n = channel.default_wire_length(perturbed)
 
     def raw_trace(dalpha):
-        s = gates.step_virtual_superop(perturbed_an, (0, 1), np.arctan(dalpha), 0.9, wire_n, "pair")
-        return np.trace(gates.unvec(s @ gates.vec(tau))).real
+        ops = gates.step_virtual_ops(perturbed, (0, 1), np.arctan(dalpha), 0.9)
+        outs = gates.outcome_states(perturbed_an, ops, tau, wire_n)
+        return np.trace(outs[0] + outs[1]).real
 
     h = 1e-4
     derivative = (raw_trace(h) - raw_trace(-h)) / (2 * h)
@@ -202,6 +206,66 @@ def test_step_pair_checked_against_model(perturbed_an, kind, pair):
 def test_step_channel_valid(perturbed_an):
     ch = gates.step_channel(perturbed_an, (0, 1), 0.4, 1.2)
     gates.validate_channel(ch)
+
+
+def reference_step_channel(analysis, pair, alpha, beta, wire_n):
+    """The step channel from dense bond-space superoperators: sum_k op_k (x) conj(op_k),
+    then wire_superop^wire_n, on each |c><d| (x) rho_fix, junk-traced, scaled to unit mean trace."""
+    point = analysis.point
+    D, Dj = point.D, point.Dj
+    ops = gates.step_virtual_ops(point, pair, alpha, beta)
+    s = np.linalg.matrix_power(gates.wire_superop(point), wire_n) @ sum(np.kron(op, op.conj()) for op in ops)
+    T = np.empty((D * D, D * D), dtype=complex)
+    for c in range(D):
+        for d in range(D):
+            e = np.zeros((D, D))
+            e[c, d] = 1.0
+            out = gates.unvec(s @ gates.vec(np.kron(e, analysis.fix.rho)))
+            T[:, c * D + d] = out.reshape(D, Dj, D, Dj).trace(axis1=1, axis2=3).reshape(-1)
+    scale = sum(np.trace(T[:, c * D + c].reshape(D, D)).real for c in range(D)) / D
+    return T / scale
+
+
+@pytest.mark.parametrize("fixture", ["cluster2", "cluster3", "perturbed", "perturbed3", "mixed"])
+def test_step_channel_matches_dense_reference(request, fixture):
+    an = channel.analyze(request.getfixturevalue(fixture))
+    got = gates.step_channel(an, (0, 1), 0.4, 1.2)
+    want = reference_step_channel(an, (0, 1), 0.4, 1.2, an.wire_length)
+    assert np.max(np.abs(got.superop - want)) < 1e-12
+
+
+@given(D=st.sampled_from([2, 3]), junk_dim=st.integers(1, 4), strength=st.floats(0.1, 0.6),
+       seed=st.integers(0, 2 ** 16), alpha=st.floats(-1.0, 1.0), beta=st.floats(-np.pi, np.pi),
+       wire_n=st.integers(0, 40), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_step_channel_matches_dense_reference_random_models(D, junk_dim, strength, seed, alpha, beta,
+                                                            wire_n, data):
+    try:
+        point = model.perturb_point(model.build_cluster_point(D), strength, junk_dim, seed)
+        an = channel.analyze(point)
+        an.fix
+    except NumericalFailure:
+        assume(False)
+    i = data.draw(st.integers(0, point.d - 2))
+    pair = (i, data.draw(st.integers(i + 1, point.d - 1)))
+    got = gates.step_channel(an, pair, alpha, beta, wire_n=wire_n)
+    want = reference_step_channel(an, pair, alpha, beta, wire_n)
+    assert np.max(np.abs(got.superop - want)) < 1e-12
+
+
+def test_outcome_states_matches_per_op_loop(perturbed3):
+    an = channel.analyze(perturbed3)
+    ops = gates.step_virtual_ops(perturbed3, (0, 2), 0.5, -0.7)
+    rng = np.random.default_rng(9)
+    Db = perturbed3.Db
+    x = rng.standard_normal((2, 3, Db, Db)) + 1j * rng.standard_normal((2, 3, Db, Db))
+    got = gates.outcome_states(an, ops, x, 5)
+    assert got.shape == (len(ops), 2, 3, Db, Db)
+    for k, op in enumerate(ops):
+        for a in range(2):
+            for b in range(3):
+                want = an.wire(op @ x[a, b] @ op.conj().T, 5)
+                assert np.max(np.abs(got[k, a, b] - want)) < 1e-13
 
 
 def test_small_angle_warning():

@@ -55,7 +55,7 @@ def test_filter_matches_exact_channel(perturbed, perturbed_nu, perturbed_fix, pe
     for phi, proj in zip(phis, projs):
         v = principal(proj)
         state = channel.VirtualState.product(np.outer(v, v.conj()), perturbed_fix.rho)
-        traces = [np.trace(o).real for o in meas.outcome_states(state, perturbed_an, ops)]
+        traces = [np.trace(o).real for o in gates.outcome_states(perturbed_an, ops, state.rho)]
         f0, f1 = meas.filter_values(params, 0.6, 0.9, phi)
         assert traces[0] == pytest.approx(f0, abs=1e-12)
         assert traces[1] == pytest.approx(f1, abs=1e-12)
@@ -91,7 +91,7 @@ def test_weak_step_wire_basis_probabilities(perturbed, perturbed_nu, perturbed_f
     rng = np.random.default_rng(0)
     sigma = random_density(2, rng)
     state = channel.VirtualState.product(sigma, perturbed_fix.rho)
-    outs = meas.outcome_states(state, perturbed_an, ops)
+    outs = gates.outcome_states(perturbed_an, ops, state.rho)
     for k, out in enumerate(outs):
         assert np.trace(out).real == pytest.approx(perturbed_nu.nu[k, k].real, abs=1e-10)
         np.testing.assert_allclose(
@@ -103,7 +103,7 @@ def test_weak_step_eigenstate_unchanged(perturbed, perturbed_nu, perturbed_fix, 
     v = principal(projs[0])
     state = channel.VirtualState.product(np.outer(v, v.conj()), perturbed_fix.rho)
     ops = gates.step_virtual_ops(perturbed, (0, 1), 0.7, 0.0)
-    for out in meas.outcome_states(state, perturbed_an, ops):
+    for out in gates.outcome_states(perturbed_an, ops, state.rho):
         sig = out.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
         sig = sig / np.trace(sig).real
         np.testing.assert_allclose(sig, np.outer(v, v.conj()), atol=1e-10)
@@ -116,7 +116,7 @@ def test_weak_step_diagonal_preservation(perturbed, perturbed_nu, perturbed_fix,
     state = channel.VirtualState.product(sigma, perturbed_fix.rho)
     phis, projs = gates.eigenphase_groups(gates.pair_operator(perturbed, (0, 1)))
     ops = gates.step_virtual_ops(perturbed, (0, 1), 0.7, 1.1)
-    summed = sum(meas.outcome_states(state, perturbed_an, ops))
+    summed = sum(gates.outcome_states(perturbed_an, ops, state.rho))
     sig_out = channel.VirtualState(summed, 2, 2).logical_state()
     for proj in projs:
         before = np.trace(proj @ sigma).real
@@ -245,17 +245,25 @@ def test_pinned_virtual_measurement(which, perturbed_an):
     assert got == PINNED_VIRTUAL[which]
 
 
+def virtual_born_frequencies(sigma, analysis, pair, trials, n_m, rng, alpha=np.pi / 4):
+    """Outcome frequencies of `trials` full virtual-space measurements of fresh copies of sigma."""
+    matched = [meas.measure_observable(sigma, analysis, pair, n_m, alpha, rng).matched_index
+               for _ in range(trials)]
+    return np.bincount(matched, minlength=len(analysis.pair(pair).eigenphases)) / trials
+
+
 def test_pinned_virtual_born(perturbed_an):
     projs = perturbed_an.pair((0, 1)).projectors
-    rep = meas.born_statistics(0.7 * projs[0] + 0.3 * projs[1], perturbed_an, (0, 1), trials=20,
-                               n_m=40, rng=np.random.default_rng(103), method="virtual")
-    assert rep.frequencies.tolist() == [0.55, 0.45]
+    freqs = virtual_born_frequencies(0.7 * projs[0] + 0.3 * projs[1], perturbed_an, (0, 1), trials=20,
+                                     n_m=40, rng=np.random.default_rng(103))
+    assert freqs.tolist() == [0.55, 0.45]
 
 
 def test_pinned_virtual_initialize(perturbed_an):
-    # measured 0 with target 1: the compiled correction fires
+    # measured 0 with target 1: the compiled correction fires; the fidelity is
+    # that of the step channels' arithmetic (outcomes summed after the wire)
     res = meas.initialize(np.eye(2) / 2, perturbed_an, (0, 1), 1, np.random.default_rng(104), n_m=100)
-    assert (res.measured_index, repr(res.fidelity), len(res.correction.steps)) == (0, "0.9999595068612658", 1)
+    assert (res.measured_index, repr(res.fidelity), len(res.correction.steps)) == (0, "0.9999595068655327", 1)
 
 
 def test_measure_observable_eigenstate(perturbed, perturbed_an):
@@ -304,11 +312,11 @@ def test_born_methods_agree(perturbed, perturbed_an):
     phis, projs = gates.eigenphase_groups(gates.pair_operator(perturbed, (0, 1)))
     sigma = 0.7 * projs[0] + 0.3 * projs[1]
     rep_f = meas.born_statistics(sigma, perturbed_an, (0, 1), trials=400,
-                                 n_m=200, rng=np.random.default_rng(4), method="filter")
-    rep_v = meas.born_statistics(sigma, perturbed_an, (0, 1), trials=120,
-                                 n_m=200, rng=np.random.default_rng(5), method="virtual")
+                                 n_m=200, rng=np.random.default_rng(4))
+    freqs_v = virtual_born_frequencies(sigma, perturbed_an, (0, 1), trials=120,
+                                       n_m=200, rng=np.random.default_rng(5))
     sig = np.sqrt(0.7 * 0.3) * np.sqrt(1 / 400 + 1 / 120)
-    assert abs(rep_f.frequencies[0] - rep_v.frequencies[0]) <= 4 * sig
+    assert abs(rep_f.frequencies[0] - freqs_v[0]) <= 4 * sig
 
 
 def test_estimator_std_scaling():
@@ -445,7 +453,7 @@ def test_weak_step_rest_outcome_no_filtering(perturbed, perturbed_nu, perturbed_
     sigma = random_density(2, rng)
     state = channel.VirtualState.product(sigma, perturbed_fix.rho)
     ops = gates.step_virtual_ops(perturbed, (0, 1), 0.7, 0.4)
-    outs = meas.outcome_states(state, perturbed_an, ops)
+    outs = gates.outcome_states(perturbed_an, ops, state.rho)
     for k in (2, 3):
         weight = np.trace(outs[k]).real
         assert weight == pytest.approx(perturbed_nu.nu[k, k].real, abs=1e-10)

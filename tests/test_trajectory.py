@@ -22,18 +22,18 @@ def test_cluster_wire_uniform_outcomes(cluster2_an):
 
 
 def test_engine_sample_deterministic(perturbed_an):
-    cfg = traj.RunConfig(analysis=perturbed_an, program=wire_program(8), seed=42,
+    cfg = traj.RunConfig(analysis=perturbed_an, program=wire_program(8),
                          procedure=traj.Procedure.PROCEDURE_I)
-    a = traj.TrajectoryEngine(cfg).sample([np.random.default_rng(cfg.seed)])[0]
-    b = traj.TrajectoryEngine(cfg).sample([np.random.default_rng(cfg.seed)])[0]
+    a = traj.TrajectoryEngine(cfg).sample([np.random.default_rng(42)])[0]
+    b = traj.TrajectoryEngine(cfg).sample([np.random.default_rng(42)])[0]
     assert a.outcomes == b.outcomes
     np.testing.assert_array_equal(a.final_state.rho, b.final_state.rho)
 
 
 def test_byproduct_bookkeeping(perturbed, perturbed_an):
-    cfg = traj.RunConfig(analysis=perturbed_an, program=wire_program(10), seed=5,
+    cfg = traj.RunConfig(analysis=perturbed_an, program=wire_program(10),
                          procedure=traj.Procedure.PROCEDURE_I)
-    rec = traj.TrajectoryEngine(cfg).sample([np.random.default_rng(cfg.seed)])[0]
+    rec = traj.TrajectoryEngine(cfg).sample([np.random.default_rng(5)])[0]
     np.testing.assert_allclose(
         rec.byproduct, traj.byproduct_from_outcomes(perturbed, rec.outcomes), atol=1e-12)
 
@@ -53,8 +53,8 @@ def test_procedure_ii_logical_invariance(perturbed_an):
 
 def test_procedure_iii_erases_record(perturbed_an):
     cfg = traj.RunConfig(analysis=perturbed_an, program=wire_program(6),
-                         procedure=traj.Procedure.PROCEDURE_III, seed=1)
-    rec = traj.TrajectoryEngine(cfg).sample([np.random.default_rng(cfg.seed)])[0]
+                         procedure=traj.Procedure.PROCEDURE_III)
+    rec = traj.TrajectoryEngine(cfg).sample([np.random.default_rng(1)])[0]
     assert rec.outcomes is None
     assert rec.byproduct is None
     assert rec.outcome_counts.sum() == 6
@@ -64,7 +64,7 @@ def test_exact_path_sum_equals_oblivious_wire(perturbed_an):
     rng = np.random.default_rng(2)
     L = random_state(4, rng)
     cfg = traj.RunConfig(analysis=perturbed_an, program=wire_program(4), left_boundary=L)
-    ps = traj.add_paths(cfg, exact=True)
+    ps = traj.add_paths(cfg, 1, 0, exact=True)
     expected = channel.oblivious_wire(
         channel.VirtualState.from_boundary_vector(L, 2, 2), perturbed_an, 4)
     assert ps.n_paths == 4 ** 4
@@ -75,7 +75,7 @@ def test_exact_path_sum_cluster(cluster2_an):
     rng = np.random.default_rng(3)
     L = random_state(2, rng)
     cfg = traj.RunConfig(analysis=cluster2_an, program=wire_program(4), left_boundary=L)
-    ps = traj.add_paths(cfg, exact=True)
+    ps = traj.add_paths(cfg, 1, 0, exact=True)
     expected = channel.oblivious_wire(
         channel.VirtualState.from_boundary_vector(L, 2, 1), cluster2_an, 4)
     assert np.max(np.abs(ps.state.rho - expected.rho)) < 1e-14
@@ -84,9 +84,8 @@ def test_exact_path_sum_cluster(cluster2_an):
 def test_sampled_add_paths_matches_channel(perturbed_an):
     rng = np.random.default_rng(4)
     L = random_state(4, rng)
-    cfg = traj.RunConfig(analysis=perturbed_an, program=wire_program(4), left_boundary=L,
-                         trials=3000, seed=11)
-    ps = traj.add_paths(cfg)
+    cfg = traj.RunConfig(analysis=perturbed_an, program=wire_program(4), left_boundary=L)
+    ps = traj.add_paths(cfg, 3000, 11)
     expected = channel.oblivious_wire(
         channel.VirtualState.from_boundary_vector(L, 2, 2), perturbed_an, 4)
     # entrywise agreement at the Monte Carlo scale
@@ -100,15 +99,21 @@ def test_sampled_convergence_rate(perturbed_an):
         channel.VirtualState.from_boundary_vector(L, 2, 2), perturbed_an, 3).rho
 
     def mean_err(trials, rep):
-        cfg = traj.RunConfig(analysis=perturbed_an, program=wire_program(3), left_boundary=L,
-                             trials=trials, seed=1000 * rep + trials)
-        ps = traj.add_paths(cfg)
+        cfg = traj.RunConfig(analysis=perturbed_an, program=wire_program(3), left_boundary=L)
+        ps = traj.add_paths(cfg, trials, 1000 * rep + trials)
         return np.linalg.norm(ps.state.rho - expected)
 
     reps = 10
     e1 = np.mean([mean_err(150, r) for r in range(reps)])
     e4 = np.mean([mean_err(600, r) for r in range(reps)])
     assert 1.0 <= e1 / e4 <= 4.0  # half the error, within a factor two
+
+
+def test_add_paths_rejects_no_trials(perturbed_an):
+    cfg = traj.RunConfig(analysis=perturbed_an, program=wire_program(2))
+    for exact in (False, True):
+        with pytest.raises(ValidationError, match="trials"):
+            traj.add_paths(cfg, 0, 0, exact=exact)
 
 
 def test_kraus_completeness(perturbed, cluster2):
@@ -207,7 +212,7 @@ def test_init_step_rejected_in_sampling(perturbed_an):
     program = gates.GateProgram((gates.InitStep((0, 1), 0, 100),))
     cfg = traj.RunConfig(analysis=perturbed_an, program=program)
     with pytest.raises(ValidationError):
-        traj.TrajectoryEngine(cfg).sample([np.random.default_rng(cfg.seed)])[0]
+        traj.TrajectoryEngine(cfg).sample([np.random.default_rng(0)])[0]
 
 
 def test_measure_step_seed_stream_contract(cluster2, cluster2_an):
@@ -216,7 +221,7 @@ def test_measure_step_seed_stream_contract(cluster2, cluster2_an):
     # identical probabilities, so identical seeds give identical outcomes
     n_m = 60
     program = gates.GateProgram((gates.MeasureStep((0, 1), np.pi / 4, n_m, wire_n=0),))
-    cfg = traj.RunConfig(analysis=cluster2_an, program=program, seed=0)
+    cfg = traj.RunConfig(analysis=cluster2_an, program=program)
     rec = traj.TrajectoryEngine(cfg).sample([np.random.default_rng(77)])[0]
 
     rng = np.random.default_rng(77)
@@ -254,15 +259,15 @@ def test_compose_program_matches_sampled_trajectories(perturbed_fix, perturbed_a
     v = random_state(2, rng)
     sigma0 = np.outer(v, v.conj())
     expected = gates.compose_program(perturbed_an, program).apply(sigma0)
-    cfg = traj.RunConfig(analysis=perturbed_an, program=program, seed=15,
-                         left_boundary=np.kron(sigma0, perturbed_fix.rho), trials=800)
-    ps = traj.add_paths(cfg)
+    cfg = traj.RunConfig(analysis=perturbed_an, program=program,
+                         left_boundary=np.kron(sigma0, perturbed_fix.rho))
+    ps = traj.add_paths(cfg, 800, 15)
     dev = np.max(np.abs(ps.state.logical_state() - expected))
     assert dev < 5 * max(ps.stderr, 1e-3)
 
 
 def test_jsonl_log_roundtrip(tmp_path, perturbed_an):
-    cfg = traj.RunConfig(analysis=perturbed_an, program=wire_program(5), seed=3,
+    cfg = traj.RunConfig(analysis=perturbed_an, program=wire_program(5),
                          procedure=traj.Procedure.PROCEDURE_I)
     engine = traj.TrajectoryEngine(cfg)
     records = engine.sample([np.random.default_rng((3, t)) for t in range(4)])
