@@ -55,9 +55,15 @@ def int_at_least(low: int):
     return parse
 
 
-def nonneg_int_list(text: str) -> list[int]:
-    """argparse type: comma-separated integers, each at least 0 (else exit 2)."""
-    return [int_at_least(0)(x) for x in text.split(",")]
+def int_list(low: int):
+    """argparse type factory: comma-separated integers, each at least `low` (else exit 2)."""
+    item = int_at_least(low)
+
+    def parse(text: str) -> list[int]:
+        return [item(x) for x in text.split(",")]
+
+    parse.__name__ = "int list"  # argparse names the type in its message for a non-integer
+    return parse
 
 
 def _fmt(v) -> str:
@@ -137,11 +143,11 @@ def cmd_model_perturb(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     path = out / args.name
     model.save_model(point, path)
-    k = model.check_injectivity(point)
     rd = RunDir(args.out, "model perturb", _params(args), args.seed, path)
-    rd.json("validation.json", {"label": point.label, "problems": [], "injectivity_K": k})
+    rd.json("validation.json", {"label": point.label, "problems": [],
+                                "injectivity_K": point.injectivity_K})
     rd.finish()
-    print(f"wrote {path} (injective at K={k})")
+    print(f"wrote {path} (injective at K={point.injectivity_K})")
     return EXIT_OK
 
 
@@ -391,8 +397,7 @@ def build_parser() -> _Parser:
     g.add_argument("--pair", type=int, nargs=2, default=(0, 1))
     g.add_argument("--alpha", type=finite_float, default=np.pi / 4)
     g.add_argument("--beta", type=finite_float, default=np.pi / 2)
-    g.add_argument("--n-steps", dest="n_steps", type=lambda s: [int(x) for x in s.split(",")],
-                   default=[100, 200, 400])
+    g.add_argument("--n-steps", dest="n_steps", type=int_list(1), default=[100, 200, 400])
     g.set_defaults(func=cmd_run_gate)
 
     me = rsub.add_parser("measure", help="weak-measurement estimate scatter")
@@ -420,7 +425,7 @@ def build_parser() -> _Parser:
 
     bd = rsub.add_parser("boundary", help="active reversal vs traced runway")
     common(bd)
-    bd.add_argument("--runways", type=nonneg_int_list, default=[0, 5, 25, 140])
+    bd.add_argument("--runways", type=int_list(0), default=[0, 5, 25, 140])
     bd.add_argument("--trials", type=int_at_least(0), default=0)
     bd.add_argument("--nm", type=int, default=20)
     bd.set_defaults(func=cmd_run_boundary)

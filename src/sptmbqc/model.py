@@ -8,6 +8,7 @@ perturbations of it are the shipped model generators.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -70,6 +71,8 @@ class PhasePoint:
     B: tuple[np.ndarray, ...]
     kappa_norm: float = 1.0
     label: str = ""
+    # smallest injective block length, where the builder checked it (not serialized)
+    injectivity_K: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "C", _freeze(self.C))
@@ -133,7 +136,7 @@ def require_valid(point: PhasePoint, **kwargs) -> PhasePoint:
 def build_cluster_point(D: int) -> PhasePoint:
     """Qudit-cluster-compatible point: d = D^2, C_{a*D+b} = X^a Z^b, scalar junk 1/D."""
     if D < 2:
-        raise ValueError("D must be >= 2")
+        raise ValidationError(f"D must be >= 2, got {D}")
     C = [weyl_unitary(D, a, b) for a in range(D) for b in range(D)]
     B = [np.array([[1.0 / D]], dtype=complex) for _ in range(D * D)]
     return PhasePoint(d=D * D, D=D, Dj=1, C=C, B=B, kappa_norm=1.0, label=f"cluster-D{D}")
@@ -152,13 +155,14 @@ def perturb_point(
     B_i = (1/sqrt(d)) (b_i I + strength R_i) with b_i the scalar junk of the base
     point and R_i seeded complex Gaussian matrices, renormalized so the junk
     channel has spectral radius one.  Deterministic in (base, strength, junk_dim, seed).
+    The returned point carries the block length of its injectivity check.
     """
     if not 0.0 <= strength < 1.0:
-        raise ValueError("strength must lie in [0, 1)")
+        raise ValidationError(f"strength must lie in [0, 1), got {strength}")
     if junk_dim < 1:
-        raise ValueError("junk_dim must be >= 1")
+        raise ValidationError(f"junk_dim must be >= 1, got {junk_dim}")
     if base.Dj != 1:
-        raise ValueError("perturb_point expects a scalar-junk base point")
+        raise ValidationError("perturb_point expects a scalar-junk base point")
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(base.d)
     raw = []
@@ -180,12 +184,12 @@ def perturb_point(
         label=f"{base.label}-perturbed-s{strength}-j{junk_dim}-seed{seed}",
     )
     try:
-        check_injectivity(point, k_max=k_max)
+        k = check_injectivity(point, k_max=k_max)
     except NotInjective as exc:
         raise InjectivityFailure(
             f"perturbed point is not injective for K <= {k_max}; retry with a different seed or larger strength"
         ) from exc
-    return point
+    return dataclasses.replace(point, injectivity_K=k)
 
 
 def check_injectivity(point: PhasePoint, k_max: int = K_MAX_DEFAULT, rtol: float = RANK_RTOL) -> int:

@@ -10,6 +10,7 @@ digit.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import gates
 from .channel import Analysis, analyze, random_unit_vector, reverse_full_channel
-from .errors import SizeCapExceeded, ValidationError
+from .errors import SizeCapExceeded, ValidationError, VanishingProbability
 from .model import PhasePoint
 
 DEFAULT_CAP = 1 << 18
@@ -36,8 +37,13 @@ class DenseResource:
     mode: OracleMode
     L: np.ndarray
     R: np.ndarray | None
-    amps: np.ndarray     # shape (d,)*n (+ (Db,) in PHI_TILDE mode), unit norm
+    amps: np.ndarray     # shape (d,)*n (+ (Db,) in PHI_TILDE mode), unit norm, read-only
     kappa: float         # normalization constant applied
+
+    @functools.cached_property
+    def byproducts(self) -> np.ndarray:
+        """Sigma(s) for every string of the resource, built once per resource."""
+        return byproduct_products(self.point, self.n)
 
 
 def build_state_vector(
@@ -71,8 +77,9 @@ def build_state_vector(
     norm = np.linalg.norm(amps)
     if norm == 0:
         raise ValidationError("resource state has zero norm")
-    return DenseResource(point=point, n=n, mode=mode, L=L, R=R,
-                         amps=amps / norm, kappa=1.0 / norm)
+    amps = amps / norm
+    amps.setflags(write=False)  # one resource is shared by several scenarios
+    return DenseResource(point=point, n=n, mode=mode, L=L, R=R, amps=amps, kappa=1.0 / norm)
 
 
 def _apply_site_basis(amps: np.ndarray, U: np.ndarray, axis: int) -> np.ndarray:
@@ -124,6 +131,15 @@ def simulate_measurements(
     basis).  With reverse_byproduct the record-dependent Sigma(s)^-1 is applied
     to the logical factor of the boundary system; the boundary observable is a
     Hermitian operator on the logical space, measured as P_o (x) I_junk.
+
+    With samples > 0, `samples` strings are drawn from q and then, when a
+    boundary observable is given, one outcome per drawn string from its row of
+    the joint law.  Both draws follow the rule of Generator.choice(k, p=law):
+    each law is clipped at zero and normalized, its cdf is the cumulative sum
+    divided by its last entry, one rng.random(samples) gives the uniforms u,
+    and each index is the right insertion point of u in its cdf.  Outcomes and
+    generator state equal those of one choice call for the strings followed by
+    one choice call per sample.
     """
     point, n = resource.point, resource.n
     if len(site_bases) != n:
@@ -136,11 +152,11 @@ def simulate_measurements(
         q = np.abs(amps.reshape(-1)) ** 2
         return OracleResult(q=q, boundary_states=None, joint=None,
                             observable_eigenvalues=None,
-                            samples=_sample_strings(q, rng, samples))
+                            samples=_sample(rng, q, None, samples))
     rows = amps.reshape(-1, point.Db)
     q = np.einsum("sb,sb->s", rows, rows.conj()).real
     if reverse_byproduct:
-        sig = byproduct_products(point, n)
+        sig = resource.byproducts
         rows6 = rows.reshape(-1, point.D, point.Dj)
         rows = np.einsum("sba,sbj->saj", sig.conj(), rows6).reshape(-1, point.Db)
     joint = None
@@ -156,29 +172,39 @@ def simulate_measurements(
             p = v[:, g] @ v[:, g].conj().T
             proj_rows = np.einsum("ab,sbj->saj", p, rows6)
             joint[:, o] = np.einsum("saj,saj->s", proj_rows, proj_rows.conj()).real
-    smp = None
-    if samples > 0:
-        if rng is None:
-            raise ValidationError("sampling requires an rng")
-        strs = rng.choice(len(q), size=samples, p=q / q.sum())
-        if joint is not None:
-            outs = np.empty(samples, dtype=int)
-            for i, s in enumerate(strs):
-                p = np.clip(joint[s], 0, None)
-                outs[i] = rng.choice(joint.shape[1], p=p / p.sum())
-            smp = np.stack([strs, outs], axis=1)
-        else:
-            smp = strs[:, None]
     return OracleResult(q=q, boundary_states=rows, joint=joint,
-                        observable_eigenvalues=eigvals, samples=smp)
+                        observable_eigenvalues=eigvals, samples=_sample(rng, q, joint, samples))
 
 
-def _sample_strings(q, rng, samples):
+def _sample(rng, q, joint, samples):
+    """Drawn strings, shape (samples, 1), or (string, outcome) pairs when a joint law is given."""
     if samples <= 0:
         return None
+    strs = draw_indices(rng, q, samples)
+    if joint is None:
+        return strs[:, None]
+    return np.stack([strs, draw_indices(rng, joint[strs], samples)], axis=1)
+
+
+def draw_indices(rng: np.random.Generator | None, weights: np.ndarray, samples: int) -> np.ndarray:
+    """`samples` indices by the rule of Generator.choice(k, p=law) (see simulate_measurements).
+
+    A 1-D `weights` is one law for every draw; a 2-D one holds one law per draw,
+    one row per sample.  A law whose clipped sum is zero or not finite raises
+    VanishingProbability.
+    """
     if rng is None:
         raise ValidationError("sampling requires an rng")
-    return rng.choice(len(q), size=samples, p=q / q.sum())[:, None]
+    p = np.clip(weights, 0, None)
+    total = p.sum(axis=-1, keepdims=True)
+    if not np.all(np.isfinite(total) & (total > 0)):
+        raise VanishingProbability("an oracle outcome law has zero (or non-finite) total probability")
+    cdf = np.cumsum(p / total, axis=-1)
+    cdf /= cdf[..., -1:]
+    u = rng.random(samples)
+    if cdf.ndim == 1:
+        return cdf.searchsorted(u, side="right")
+    return (cdf <= u[:, None]).sum(axis=1)
 
 
 def marginal_over_tail(q_full: np.ndarray, d: int, n: int, measured: int) -> np.ndarray:
@@ -202,10 +228,9 @@ def _channel_wire_state(point: PhasePoint, L: np.ndarray, n: int) -> np.ndarray:
     return tau / np.trace(tau).real
 
 
-def scenario_wire(point: PhasePoint, n: int, l: np.ndarray, j: np.ndarray) -> dict:
-    """Procedures I/II/III on an n-site wire with a product boundary, both engines."""
-    L = np.kron(l, j)
-    res = build_state_vector(point, n, OracleMode.PHI_TILDE, L=L)
+def scenario_wire(res: DenseResource, j: np.ndarray) -> dict:
+    """Procedures I/II/III on the resource's wire (product boundary L = l (x) j), both engines."""
+    point, n, L = res.point, res.n, res.L
     plain = simulate_measurements(res, _wire_bases(n))
     rev = simulate_measurements(res, _wire_bases(n), reverse_byproduct=True)
 
@@ -231,10 +256,9 @@ def scenario_wire(point: PhasePoint, n: int, l: np.ndarray, j: np.ndarray) -> di
             "wire_marginal_formula": dev_q}
 
 
-def scenario_gate_step(analysis: Analysis, n: int, L: np.ndarray, pair, dalpha: float, beta: float) -> dict:
+def scenario_gate_step(analysis: Analysis, res: DenseResource, pair, dalpha: float, beta: float) -> dict:
     """One tilted site + (n-1)-site wire with reversal, path-summed, both engines."""
-    point = analysis.point
-    res = build_state_vector(point, n, OracleMode.PHI_TILDE, L=L)
+    point, n, L = analysis.point, res.n, res.L
     bases = [gates.basis_matrix(point.d, pair, np.arctan(dalpha), beta)] + [None] * (n - 1)
     rev = simulate_measurements(res, bases, reverse_byproduct=True)
     rows = rev.boundary_states
@@ -247,10 +271,9 @@ def scenario_gate_step(analysis: Analysis, n: int, L: np.ndarray, pair, dalpha: 
     return {"gate_step_state": float(np.max(np.abs(tau_oracle - tau_chan)))}
 
 
-def scenario_weak_step(analysis: Analysis, n: int, L: np.ndarray, pair, alpha: float, beta: float) -> dict:
+def scenario_weak_step(analysis: Analysis, res: DenseResource, pair, alpha: float, beta: float) -> dict:
     """Per-outcome probabilities and post states of one finite-angle site, both engines."""
-    point = analysis.point
-    res = build_state_vector(point, n, OracleMode.PHI_TILDE, L=L)
+    point, n, L = analysis.point, res.n, res.L
     bases = [gates.basis_matrix(point.d, pair, alpha, beta)] + [None] * (n - 1)
     rev = simulate_measurements(res, bases, reverse_byproduct=True)
     d = point.d
@@ -272,13 +295,13 @@ def scenario_weak_step(analysis: Analysis, n: int, L: np.ndarray, pair, alpha: f
     return {"weak_step_probs": dev_p, "weak_step_states": dev_state}
 
 
-def scenario_appendix_a(point: PhasePoint, n: int, l: np.ndarray, j: np.ndarray,
-                        observable: np.ndarray, rng: np.random.Generator,
-                        samples: int = 10_000) -> dict:
-    """Joint law q_A(s, o) = q(s) p_A(o|s) with p_A independent of s, plus sampling."""
-    L = np.kron(l, j)
-    res = build_state_vector(point, n, OracleMode.PHI_TILDE, L=L)
-    out = simulate_measurements(res, _wire_bases(n), reverse_byproduct=True,
+def scenario_appendix_a(res: DenseResource, l: np.ndarray, observable: np.ndarray,
+                        rng: np.random.Generator, samples: int = 10_000) -> dict:
+    """Joint law q_A(s, o) = q(s) p_A(o|s) with p_A independent of s, plus sampling.
+
+    The resource's boundary is a product L = l (x) j.
+    """
+    out = simulate_measurements(res, _wire_bases(res.n), reverse_byproduct=True,
                                 boundary_observable=observable, rng=rng, samples=samples)
     cond = out.joint / out.q[:, None]
     dev_cond = float(np.max(np.abs(cond - cond[0])))
@@ -367,13 +390,15 @@ def conformance_suite(point: PhasePoint, n: int, rng: np.random.Generator,
 
     # the bond-space side of the step scenarios runs the engine's own tilted-site map
     analysis = analyze(point)
+    # one product-boundary resource (and byproduct table) for the four wire scenarios
+    res = build_state_vector(point, n, OracleMode.PHI_TILDE, L=L_prod)
     devs = {}
-    devs.update(scenario_wire(point, n, l, j))
-    devs.update(scenario_gate_step(analysis, n, L_prod, (0, 1), 0.05, np.pi / 2))
-    devs.update(scenario_weak_step(analysis, n, L_prod, (0, 1), 0.7, 0.3))
+    devs.update(scenario_wire(res, j))
+    devs.update(scenario_gate_step(analysis, res, (0, 1), 0.05, np.pi / 2))
+    devs.update(scenario_weak_step(analysis, res, (0, 1), 0.7, 0.3))
     obs = gates.pair_operator(point, (0, 1))
     obs = (obs + obs.conj().T) / 2
-    devs.update(scenario_appendix_a(point, n, l, j, obs, rng, samples))
+    devs.update(scenario_appendix_a(res, l, obs, rng, samples))
     devs.update(scenario_runway(point, min(n, 3), n - min(n, 3), L_prod, R))
     devs.update(scenario_norm(point, n, L_prod))
     z = devs.pop("appendix_a_sampled_z")

@@ -37,6 +37,18 @@ def test_model_build_d3(tmp_path):
     assert model.load_model(tmp_path / "model.json").D == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["perturb", "--strength", "0.3", "--junk-dim", "0", "--seed", "1"],
+    ["perturb", "--strength", "1.5", "--junk-dim", "2", "--seed", "1"],
+    ["build", "--D", "1"],
+])
+def test_model_builder_bad_input_exit_code(tmp_path, argv, capsys):
+    out = tmp_path / "model"
+    assert run(["model"] + argv + ["--out", str(out)]) == 2
+    assert "validation error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_model_validate_ok(model_file):
     assert run(["model", "validate", str(model_file)]) == 0
 
@@ -144,6 +156,15 @@ def test_run_gate(tmp_path, model_file):
     doc = json.loads((out / "gate_summary.json").read_text())
     errs = doc["distances"]
     assert errs["50"] > errs["100"]
+
+
+@pytest.mark.parametrize("steps", ["0", "100,0", "-5"])
+def test_run_gate_rejects_nonpositive_steps(tmp_path, model_file, steps, capsys):
+    out = tmp_path / "gate"
+    assert run(["run", "gate", "--model", str(model_file), f"--n-steps={steps}",
+                "--out", str(out)]) == 2
+    assert "not an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_measure_deterministic(tmp_path, model_file):

@@ -57,6 +57,13 @@ def test_perturb_deterministic(cluster2):
     assert a.kappa_norm == b.kappa_norm
 
 
+def test_perturb_carries_injectivity_block_length(perturbed, perturbed3):
+    # the builder's own check is the one the CLI reports; it is not a model field on disk
+    for point in (perturbed, perturbed3):
+        assert point.injectivity_K == model.check_injectivity(point)
+    assert model.build_cluster_point(2).injectivity_K is None
+
+
 def test_perturb_zero_strength_matches_base(cluster2):
     pt = model.perturb_point(cluster2, 0.0, 1, 3)
     for b, base in zip(pt.B, cluster2.B):
@@ -78,7 +85,7 @@ def test_perturb_keeps_byproducts(cluster2, perturbed):
 
 
 def test_perturb_rejects_scalar_base_violation(perturbed):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         model.perturb_point(perturbed, 0.1, 2, 0)
 
 

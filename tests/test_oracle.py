@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sptmbqc import channel, gates, model, oracle
-from sptmbqc.errors import NumericalFailure, SizeCapExceeded
+from sptmbqc.errors import NumericalFailure, SizeCapExceeded, VanishingProbability
 from conftest import random_state
 
 
@@ -48,13 +48,63 @@ def test_conformance_suite(request, fixture, n):
     assert rep.sampled_z < 5.0
 
 
+@pytest.mark.parametrize("fixture,n,z", [("perturbed", 6, 0.5749067171437489),
+                                         ("perturbed3", 4, 0.28240431277531886)])
+def test_pinned_appendix_a_sampled_z(request, fixture, n, z):
+    # recorded with one Generator.choice call per sampled boundary outcome
+    rep = oracle.conformance_suite(request.getfixturevalue(fixture), n, np.random.default_rng(17))
+    assert rep.sampled_z == z
+
+
+def _choice_loop(rng, q, joint, samples):
+    """The oracle's former draw: strings by one choice call, then one choice call per outcome."""
+    strs = rng.choice(len(q), size=samples, p=q / q.sum())
+    outs = np.empty(samples, dtype=int)
+    for i, s in enumerate(strs):
+        p = np.clip(joint[s], 0, None)
+        outs[i] = rng.choice(joint.shape[1], p=p / p.sum())
+    return np.stack([strs, outs], axis=1)
+
+
+@pytest.mark.parametrize("groups", [2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_draw_indices_matches_choice_loop(groups, seed):
+    table = np.random.default_rng(seed)
+    q = table.random(81)
+    q[table.random(81) < 0.2] = 0.0
+    joint = table.random((81, groups))
+    joint[table.random((81, groups)) < 0.3] = 0.0       # rows containing zeros
+    joint[table.random((81, groups)) < 0.05] = -1e-17   # rounding noise below zero
+    joint[np.all(joint <= 0, axis=1), 0] = 0.5           # but no vanishing row
+    ref_rng, rng = np.random.default_rng(100 + seed), np.random.default_rng(100 + seed)
+    expected = _choice_loop(ref_rng, q, joint, 2000)
+    strs = oracle.draw_indices(rng, q, 2000)
+    got = np.stack([strs, oracle.draw_indices(rng, joint[strs], 2000)], axis=1)
+    np.testing.assert_array_equal(got, expected)
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("weights", [
+    [[0.3, 0.7], [0.0, 0.0]],
+    [[0.3, 0.7], [-1e-17, 0.0]],
+    [[0.3, 0.7], [np.nan, 1.0]],
+    [[0.3, 0.7], [np.inf, 1.0]],
+    [0.0, 0.0, 0.0],
+])
+def test_draw_indices_rejects_vanishing_law(weights):
+    weights = np.array(weights)
+    with pytest.raises(VanishingProbability):
+        oracle.draw_indices(np.random.default_rng(0), weights, len(weights))
+
+
 def test_appendix_a_identity(perturbed):
     rng = np.random.default_rng(1)
     l = random_state(2, rng)
     j = random_state(2, rng)
     obs = gates.pair_operator(perturbed, (0, 1))
     obs = (obs + obs.conj().T) / 2
-    out = oracle.scenario_appendix_a(perturbed, 6, l, j, obs, rng, samples=10_000)
+    res = oracle.build_state_vector(perturbed, 6, L=np.kron(l, j))
+    out = oracle.scenario_appendix_a(res, l, obs, rng, samples=10_000)
     assert out["appendix_a_conditional"] < 1e-12
     assert out["appendix_a_born"] < 1e-12
     assert out["appendix_a_sampled_z"] < 3.0
@@ -64,7 +114,7 @@ def test_wire_marginal_formula(perturbed):
     rng = np.random.default_rng(2)
     l = random_state(2, rng)
     j = random_state(2, rng)
-    devs = oracle.scenario_wire(perturbed, 5, l, j)
+    devs = oracle.scenario_wire(oracle.build_state_vector(perturbed, 5, L=np.kron(l, j)), j)
     assert devs["wire_marginal_formula"] < 1e-12
     assert devs["procedure_ii_invariance"] < 1e-12
 
@@ -73,14 +123,16 @@ def test_gate_step_cross_engine(perturbed_an):
     rng = np.random.default_rng(3)
     l = random_state(2, rng)
     j = random_state(2, rng)
-    dev = oracle.scenario_gate_step(perturbed_an, 6, np.kron(l, j), (0, 1), 0.05, np.pi / 2)
+    res = oracle.build_state_vector(perturbed_an.point, 6, L=np.kron(l, j))
+    dev = oracle.scenario_gate_step(perturbed_an, res, (0, 1), 0.05, np.pi / 2)
     assert dev["gate_step_state"] < 1e-10
 
 
 def test_weak_step_cross_engine(perturbed_an):
     rng = np.random.default_rng(4)
     L = np.kron(random_state(2, rng), random_state(2, rng))
-    dev = oracle.scenario_weak_step(perturbed_an, 6, L, (0, 1), 0.7, 0.3)
+    res = oracle.build_state_vector(perturbed_an.point, 6, L=L)
+    dev = oracle.scenario_weak_step(perturbed_an, res, (0, 1), 0.7, 0.3)
     assert dev["weak_step_probs"] < 1e-10
     assert dev["weak_step_states"] < 1e-10
 
