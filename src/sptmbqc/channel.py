@@ -24,6 +24,7 @@ NU_TOL = 1e-10
 WIRE_FLOOR = 20
 WIRE_XI_FACTOR = 30.0
 PI_WRAP_TOL = 1e-12  # eigenphases this close to -pi are reported as +pi
+RESIDUAL_CHUNK = 128  # wire lengths per batched SVD in residual_curve; bounds its memory
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -37,10 +38,9 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Channel:
-    """Completely positive map given by a Kraus family, with cached superoperator."""
+    """Completely positive map given by a Kraus family; superoperator built on first use."""
 
     kraus: tuple[np.ndarray, ...]
-    superop: np.ndarray
 
     @classmethod
     def from_kraus(cls, kraus) -> "Channel":
@@ -48,20 +48,29 @@ class Channel:
         dim = mats[0].shape[0]
         if any(k.shape != (dim, dim) for k in mats):
             raise ValidationError("all Kraus operators must be square and of equal dimension")
-        superop = sum(np.kron(k, k.conj()) for k in mats)
-        return cls(kraus=mats, superop=superop)
+        return cls(kraus=mats)
 
     @property
     def dim(self) -> int:
         return self.kraus[0].shape[0]
 
     @cached_property
+    def superop(self) -> np.ndarray:
+        return sum(np.kron(k, k.conj()) for k in self.kraus)
+
+    @cached_property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues and right eigenvectors of the superoperator, computed once."""
         return np.linalg.eig(self.superop)
 
+    @cached_property
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray]:
+        k = np.stack(self.kraus)
+        return k, k.conj().swapaxes(-1, -2)
+
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        return sum(k @ rho @ k.conj().T for k in self.kraus)
+        k, k_dag = self._stacked
+        return (k @ rho @ k_dag).sum(axis=0)
 
     def adjoint(self) -> "Channel":
         return Channel.from_kraus([k.conj().T for k in self.kraus])
@@ -369,10 +378,14 @@ class Analysis:
         """
         x = np.asarray(x, dtype=complex)
         D, Dj = self.point.D, self.point.Dj
-        lead = x.shape[:-2]
-        blocks = x.reshape(lead + (D, Dj, D, Dj)).swapaxes(-3, -2).reshape(lead + (D * D, Dj * Dj))
-        blocks = blocks @ self.junk_power(n).T
-        return blocks.reshape(lead + (D, D, Dj, Dj)).swapaxes(-3, -2).reshape(x.shape)
+        blocks = logical_junk_blocks(x, D, Dj) @ self.junk_power(n).T
+        return blocks.reshape(x.shape[:-2] + (D, D, Dj, Dj)).swapaxes(-3, -2).reshape(x.shape)
+
+
+def logical_junk_blocks(x: np.ndarray, D: int, Dj: int) -> np.ndarray:
+    """Bond operators (..., D*Dj, D*Dj) regrouped as (..., D*D, Dj*Dj): row (a, b) is the junk block <a|x|b>."""
+    lead = x.shape[:-2]
+    return x.reshape(lead + (D, Dj, D, Dj)).swapaxes(-3, -2).reshape(lead + (D * D, Dj * Dj))
 
 
 def analyze(point: PhasePoint) -> Analysis:
@@ -461,6 +474,14 @@ class FactorizationResult:
     residual: float
 
 
+def schmidt_residual(s: np.ndarray) -> np.ndarray:
+    """s_1 / s_0 of descending singular values along the last axis; 0 where s_0 = 0 or only one exists."""
+    s0 = s[..., 0]
+    if s.shape[-1] < 2:
+        return np.zeros_like(s0)
+    return np.divide(s[..., 1], s0, out=np.zeros_like(s0), where=s0 > 0)
+
+
 def factorization_check(state: VirtualState) -> FactorizationResult:
     """Best rank-one operator-Schmidt factor sigma (x) rho across the logical/junk cut.
 
@@ -468,9 +489,8 @@ def factorization_check(state: VirtualState) -> FactorizationResult:
     rho is returned with unit trace and PSD orientation, sigma carries the scale.
     """
     D, Dj = state.D, state.Dj
-    m = state.rho.reshape(D, Dj, D, Dj).transpose(0, 2, 1, 3).reshape(D * D, Dj * Dj)
-    u, s, vh = np.linalg.svd(m)
-    residual = float(s[1] / s[0]) if len(s) > 1 and s[0] > 0 else 0.0
+    u, s, vh = np.linalg.svd(logical_junk_blocks(state.rho, D, Dj))
+    residual = float(schmidt_residual(s))
     sigma = s[0] * u[:, 0].reshape(D, D)
     rho_j = vh[0, :].reshape(Dj, Dj)
     tr = np.trace(rho_j)
@@ -480,6 +500,29 @@ def factorization_check(state: VirtualState) -> FactorizationResult:
     sigma = (sigma + sigma.conj().T) / 2
     rho_j = (rho_j + rho_j.conj().T) / 2
     return FactorizationResult(sigma=sigma, rho_junk=rho_j, residual=residual)
+
+
+def residual_curve(state: VirtualState, analysis: Analysis, n: int) -> np.ndarray:
+    """factorization_check(oblivious_wire(state, analysis, k)).residual for k = 0..n.
+
+    The wire multiplies the logical/junk block matrix by L^T from the right and
+    the residual does not depend on scale, so each chunk of RESIDUAL_CHUNK
+    lengths is one stacked product with the powers of L^T and one batched SVD.
+    """
+    step = analysis.junk_power(1).T
+    powers = np.eye(step.shape[0], dtype=complex)[None]
+    while len(powers) < min(RESIDUAL_CHUNK, n + 1):
+        powers = np.concatenate([powers, powers @ (powers[-1] @ step)])
+    powers = powers[:n + 1]
+    jump = powers[-1] @ step
+    blocks = logical_junk_blocks(state.rho, state.D, state.Dj)
+    out = np.empty(n + 1)
+    for start in range(0, n + 1, len(powers)):
+        stack = blocks @ powers[:n + 1 - start]
+        out[start:start + len(stack)] = schmidt_residual(np.linalg.svd(stack, compute_uv=False))
+        blocks = blocks @ jump
+        blocks = blocks / np.linalg.norm(blocks)  # keeps long wires clear of overflow and underflow
+    return out
 
 
 def nu_export(analysis: Analysis) -> dict:

@@ -11,6 +11,7 @@ Exit codes: 0 ok, 2 validation failure (InputError), 3 numerical failure
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -172,13 +173,8 @@ def cmd_run_wire(args) -> int:
     L = channel.random_unit_vector(rng, point.Db)
     state = channel.VirtualState.from_boundary_vector(L, point.D, point.Dj)
     rd = RunDir(args.out, "run wire", _params(args), args.seed, Path(args.model))
-    rows = []
-    for n in range(args.n + 1):
-        fac = channel.factorization_check(state)
-        rows.append((n, fac.residual))
-        if n < args.n:
-            state = channel.oblivious_wire(state, analysis, 1)
-    rd.csv("wire_residual.csv", ["n_sites", "schmidt_residual"], rows)
+    rd.csv("wire_residual.csv", ["n_sites", "schmidt_residual"],
+           enumerate(channel.residual_curve(state, analysis, args.n)))
     if args.trajectories > 0:
         cfg = trajectory.RunConfig(analysis=analysis, program=gates.GateProgram((gates.WireStep(args.n),)),
                                    procedure=trajectory.Procedure.PROCEDURE_II,
@@ -397,7 +393,7 @@ def build_parser() -> _Parser:
     g.add_argument("--pair", type=int, nargs=2, default=(0, 1))
     g.add_argument("--alpha", type=finite_float, default=np.pi / 4)
     g.add_argument("--beta", type=finite_float, default=np.pi / 2)
-    g.add_argument("--n-steps", dest="n_steps", type=int_list(1), default=[100, 200, 400])
+    g.add_argument("--n-steps", dest="n_steps", type=int_list(1), default=(100, 200, 400))
     g.set_defaults(func=cmd_run_gate)
 
     me = rsub.add_parser("measure", help="weak-measurement estimate scatter")
@@ -425,14 +421,14 @@ def build_parser() -> _Parser:
 
     bd = rsub.add_parser("boundary", help="active reversal vs traced runway")
     common(bd)
-    bd.add_argument("--runways", type=int_list(0), default=[0, 5, 25, 140])
+    bd.add_argument("--runways", type=int_list(0), default=(0, 5, 25, 140))
     bd.add_argument("--trials", type=int_at_least(0), default=0)
     bd.add_argument("--nm", type=int, default=20)
     bd.set_defaults(func=cmd_run_boundary)
 
     cf = rsub.add_parser("conform", help="dense-oracle conformance suite")
     common(cf)
-    cf.add_argument("--n", type=int, default=6)
+    cf.add_argument("--n", type=int_at_least(1), default=6)
     cf.add_argument("--samples", type=int_at_least(1), default=10_000)
     cf.add_argument("--tol", type=finite_float, default=1e-10)
     cf.set_defaults(func=cmd_run_conform)
@@ -440,8 +436,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built once per process: parsing leaves it unchanged, and its defaults are immutable."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "command", None) == "build" and args.D is None:

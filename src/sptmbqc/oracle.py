@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,24 +87,23 @@ def _apply_site_basis(amps: np.ndarray, U: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(out, -1, axis)
 
 
+def _string_products(mats, n: int) -> np.ndarray:
+    """M_{s_n} ... M_{s_1} for every string, flat order (site 1 most significant)."""
+    mats = np.stack(mats).astype(complex)
+    prod = np.eye(mats.shape[-1], dtype=complex)[None]
+    for _ in range(n):
+        prod = (mats[None] @ prod[:, None]).reshape((-1,) + mats.shape[1:])
+    return prod
+
+
 def byproduct_products(point: PhasePoint, n: int) -> np.ndarray:
     """Sigma(s) = C_{s_n} ... C_{s_1} for every string, flat order (site 1 most significant)."""
-    d, D = point.d, point.D
-    sig = np.eye(D, dtype=complex)[None, :, :]
-    for _ in range(n):
-        sig = np.stack([np.einsum("ab,sbc->sac", point.C[s], sig) for s in range(d)], axis=1)
-        sig = sig.reshape(-1, D, D)
-    return sig
+    return _string_products(point.C, n)
 
 
 def junk_products(point: PhasePoint, n: int) -> np.ndarray:
     """prod_k B_{s_k} in the same flat order."""
-    d, Dj = point.d, point.Dj
-    prod = np.eye(Dj, dtype=complex)[None, :, :]
-    for _ in range(n):
-        prod = np.stack([np.einsum("ab,sbc->sac", point.B[s], prod) for s in range(d)], axis=1)
-        prod = prod.reshape(-1, Dj, Dj)
-    return prod
+    return _string_products(point.B, n)
 
 
 @dataclass
@@ -170,8 +168,7 @@ def simulate_measurements(
         rows6 = rows.reshape(-1, point.D, point.Dj)
         for o, g in enumerate(groups):
             p = v[:, g] @ v[:, g].conj().T
-            proj_rows = np.einsum("ab,sbj->saj", p, rows6)
-            joint[:, o] = np.einsum("saj,saj->s", proj_rows, proj_rows.conj()).real
+            joint[:, o] = (np.abs(np.tensordot(p, rows6, axes=(1, 1))) ** 2).sum(axis=(0, 2))
     return OracleResult(q=q, boundary_states=rows, joint=joint,
                         observable_eigenvalues=eigvals, samples=_sample(rng, q, joint, samples))
 
@@ -223,8 +220,10 @@ def _channel_wire_state(point: PhasePoint, L: np.ndarray, n: int) -> np.ndarray:
     """I (x) L^n applied to |L><L| via per-site corrected actions (bond-space path)."""
     tau = np.outer(L, L.conj())
     ident = np.eye(point.D)
+    kraus = np.stack([np.kron(ident, b) for b in point.B])
+    kraus_dag = kraus.conj().swapaxes(-1, -2)
     for _ in range(n):
-        tau = sum(np.kron(ident, b) @ tau @ np.kron(ident, b).conj().T for b in point.B)
+        tau = (kraus @ tau @ kraus_dag).sum(axis=0)
     return tau / np.trace(tau).real
 
 
@@ -249,7 +248,7 @@ def scenario_wire(res: DenseResource, j: np.ndarray) -> dict:
 
     # Procedure I marginal against the product-boundary junk-norm formula
     jp = junk_products(point, n)
-    q_formula = np.einsum("sab,b,sac,c->s", jp, j, jp.conj(), j.conj()).real
+    q_formula = (np.abs(jp @ j) ** 2).sum(axis=1)
     q_formula = q_formula / q_formula.sum()
     dev_q = float(np.max(np.abs(plain.q / plain.q.sum() - q_formula)))
     return {"procedure_iii_state": dev_p3, "procedure_ii_invariance": dev_p2,
@@ -343,16 +342,22 @@ def scenario_runway(point: PhasePoint, measured: int, runway: int, L: np.ndarray
     w = np.outer(R, np.asarray(R).conj())
     for _ in range(runway):
         w = fbar.apply(w)
-    tensors = point.site_tensors()
-    q_chan = np.empty(point.d ** measured)
-    for flat, s in enumerate(itertools.product(range(point.d), repeat=measured)):
-        m = np.eye(point.Db, dtype=complex)
-        for sk in s:
-            m = tensors[sk] @ m
-        vL = m @ L
-        q_chan[flat] = (vL.conj() @ w @ vL).real
-    q_chan /= q_chan.sum()
+    q_chan = runway_marginal(point, measured, L, w)
     return {"runway_marginal": float(np.max(np.abs(q_oracle - q_chan)))}
+
+
+def runway_marginal(point: PhasePoint, measured: int, L: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Normalized q(s) = <v_s|weight|v_s>, v_s = A_{s_m} ... A_{s_1}|L>, for every measured string.
+
+    Flat order as in simulate_measurements (site 1 most significant); weight is
+    the runway's reverse weight Fbar^runway(|R><R|).
+    """
+    tensors = np.stack(point.site_tensors())
+    v = np.asarray(L, dtype=complex)[None]
+    for _ in range(measured):
+        v = (tensors[None] @ v[:, None, :, None]).reshape(-1, point.Db)
+    q = ((v.conj() @ weight) * v).sum(axis=1).real
+    return q / q.sum()
 
 
 def scenario_norm(point: PhasePoint, n: int, L: np.ndarray) -> dict:
@@ -364,8 +369,9 @@ def scenario_norm(point: PhasePoint, n: int, L: np.ndarray) -> dict:
         amps = np.einsum("...b,iab->...ia", amps, tensors)
     dense = np.linalg.norm(amps) ** 2
     tau = np.outer(L, np.asarray(L).conj())
+    tensors_dag = tensors.conj().swapaxes(-1, -2)
     for _ in range(n):
-        tau = sum(a @ tau @ a.conj().T for a in point.site_tensors())
+        tau = (tensors @ tau @ tensors_dag).sum(axis=0)
     transfer = np.trace(tau).real
     return {"norm_agreement": float(abs(dense - transfer) / transfer)}
 

@@ -3,11 +3,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sptmbqc import channel, gates, measurement, model
-from sptmbqc.errors import DegenerateLeadingEigenvalue, ValidationError
+from sptmbqc.errors import DegenerateLeadingEigenvalue, NumericalFailure, ValidationError
 from conftest import random_density, random_state
 
 
@@ -97,6 +97,39 @@ def test_oblivious_wire_zero_sites(perturbed_an):
     st_ = channel.VirtualState(random_density(4, rng), 2, 2)
     out = channel.oblivious_wire(st_, perturbed_an, 0)
     np.testing.assert_allclose(out.rho, st_.rho / np.trace(st_.rho).real, atol=1e-14)
+
+
+@given(kraus_count=st.integers(1, 4), dim=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_apply_matches_kraus_loop(kraus_count, dim, seed):
+    rng = np.random.default_rng(seed)
+    kraus = rng.standard_normal((kraus_count, dim, dim)) + 1j * rng.standard_normal((kraus_count, dim, dim))
+    rho = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    ch = channel.Channel.from_kraus(kraus)
+    want = sum(k @ rho @ k.conj().T for k in kraus)
+    np.testing.assert_allclose(ch.apply(rho), want, rtol=1e-14, atol=1e-13)
+    assert "superop" not in vars(ch)  # built only when asked for
+
+
+@given(D=st.sampled_from([2, 3]), junk_dim=st.integers(1, 4), strength=st.floats(0.1, 0.6),
+       seed=st.integers(0, 2 ** 16), chunks=st.sampled_from([0, 2]))
+@settings(max_examples=12, deadline=None)
+def test_residual_curve_matches_site_loop(D, junk_dim, strength, seed, chunks):
+    # n = 0, or an n whose lengths 0..n span two chunks of the batched SVD
+    n = 0 if chunks == 0 else channel.RESIDUAL_CHUNK + 7
+    try:
+        point = model.perturb_point(model.build_cluster_point(D), strength, junk_dim, seed)
+    except NumericalFailure:
+        assume(False)
+    an = channel.analyze(point)
+    L = random_state(point.Db, np.random.default_rng(seed))
+    state = channel.VirtualState.from_boundary_vector(L, D, junk_dim)
+    want = []
+    for k in range(n + 1):
+        want.append(channel.factorization_check(state).residual)
+        state = channel.oblivious_wire(state, an, 1)
+    got = channel.residual_curve(channel.VirtualState.from_boundary_vector(L, D, junk_dim), an, n)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_oblivious_wire_product_input(perturbed, perturbed_fix, perturbed_an):

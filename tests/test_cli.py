@@ -124,12 +124,28 @@ def test_nonfinite_float_flag_exit_code(tmp_path, model_file, argv, value, capsy
     ["boundary", "--runways", "0,-2"],
     ["boundary", "--trials", "-1"],
     ["conform", "--samples", "0"],
+    ["conform", "--n", "0"],
 ])
 def test_out_of_range_count_flag_exit_code(tmp_path, model_file, argv, capsys):
     command, flag, value = argv
     assert run(["run", command, "--model", str(model_file), f"{flag}={value}", "--out", str(tmp_path)]) == 2
     assert "not an integer >=" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_list_flag_defaults_survive_earlier_calls(tmp_path, model_file):
+    # one parser serves every call in a process: explicit list flags must not
+    # leak into the defaults of a later call
+    cases = [("gate", "--n-steps", "100,200", "n_steps", [100, 200, 400]),
+             ("boundary", "--runways", "0,5", "runways", [0, 5, 25, 140])]
+    for command, flag, value, key, default in cases:
+        argv = ["run", command, "--model", str(model_file)]
+        assert run(argv + [flag, value, "--out", str(tmp_path / "explicit")]) == 0
+        assert run(argv + ["--out", str(tmp_path / "default")]) == 0
+        explicit, defaulted = (json.loads((tmp_path / d / "manifest.json").read_text())["params"][key]
+                               for d in ("explicit", "default"))
+        assert explicit == [int(x) for x in value.split(",")]
+        assert defaulted == default
 
 
 def test_cli_import_is_scipy_free():

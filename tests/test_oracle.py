@@ -1,3 +1,7 @@
+import ast
+import inspect
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -218,3 +222,76 @@ def test_conformance_random_models(D, junk_dim, strength, seed):
     except NumericalFailure:
         assume(False)
     assert rep.max_deviation <= 1e-10
+
+
+def _string_products_loop(mats, n):
+    # reference: the per-site einsum stacking the string products replaced
+    prod = np.eye(mats[0].shape[0], dtype=complex)[None, :, :]
+    for _ in range(n):
+        prod = np.stack([np.einsum("ab,sbc->sac", m, prod) for m in mats], axis=1)
+        prod = prod.reshape(-1, *mats[0].shape)
+    return prod
+
+
+@pytest.mark.parametrize("fixture", ["cluster2", "perturbed", "perturbed3"])
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_string_products_match_site_loop(request, fixture, n):
+    point = request.getfixturevalue(fixture)
+    np.testing.assert_allclose(oracle.byproduct_products(point, n),
+                               _string_products_loop(point.C, n), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(oracle.junk_products(point, n),
+                               _string_products_loop(point.B, n), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("fixture", ["perturbed", "perturbed3"])
+@pytest.mark.parametrize("measured", [0, 1, 3])
+def test_runway_marginal_matches_string_loop(request, fixture, measured):
+    point = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(measured)
+    L, R = random_state(point.Db, rng), random_state(point.Db, rng)
+    w = channel.reverse_full_channel(point).apply(np.outer(R, R.conj()))
+    tensors = point.site_tensors()
+    want = np.empty(point.d ** measured)
+    for flat, s in enumerate(itertools.product(range(point.d), repeat=measured)):
+        m = np.eye(point.Db, dtype=complex)
+        for sk in s:
+            m = tensors[sk] @ m
+        vL = m @ L
+        want[flat] = (vL.conj() @ w @ vL).real
+    want /= want.sum()
+    np.testing.assert_allclose(oracle.runway_marginal(point, measured, L, w), want, rtol=0, atol=1e-14)
+
+
+def test_dense_side_calls_no_engine_code():
+    # the oracle's dense path must stay its own: no name bound to the channel,
+    # gates, trajectory or measurement modules may be reached from it
+    engine_modules = {"channel", "gates", "trajectory", "measurement"}
+    tree = ast.parse(inspect.getsource(oracle))
+    engine_names = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                engine_names |= {a.asname or a.name for a in node.names if a.name in engine_modules}
+            elif node.module.split(".")[0] in engine_modules:
+                engine_names |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            engine_names |= {(a.asname or a.name).split(".")[0] for a in node.names
+                             if a.name.split(".")[-1] in engine_modules}
+    assert {"gates", "reverse_full_channel"} <= engine_names
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    dense = ["build_state_vector", "simulate_measurements", "byproduct_products", "junk_products",
+             "draw_indices", "_channel_wire_state", "marginal_over_tail"]
+    seen, todo = set(), list(dense)
+    while todo:  # follow every oracle-level function or class the dense side names
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            assert not isinstance(node, (ast.Import, ast.ImportFrom)), f"{name} imports inside its body"
+            if isinstance(node, ast.Name):
+                assert node.id not in engine_names, f"{name} reaches engine code through {node.id}"
+                if node.id in defs:
+                    todo.append(node.id)
+    assert {"_string_products", "DenseResource", "_sample"} <= seen
