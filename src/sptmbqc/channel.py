@@ -17,7 +17,7 @@ from .errors import (
     SymmetryConditionViolated,
     ValidationError,
 )
-from .model import PhasePoint, check_byproduct_symmetry, encode_matrix, weyl_symmetry_data
+from .model import PhasePoint, check_byproduct_symmetry, encode_matrix, weyl_symmetry_data, weyl_unitary
 
 DEGENERACY_TOL = 1e-12
 NU_TOL = 1e-10
@@ -335,6 +335,11 @@ class Analysis:
         return fixed_point(self.junk)
 
     @cached_property
+    def fbar(self) -> Channel:
+        """The right-to-left transfer map Fbar(tau) = sum_i A_i^dag tau A_i."""
+        return reverse_full_channel(self.point)
+
+    @cached_property
     def nu(self) -> NuMatrix:
         return nu_matrix(self)
 
@@ -354,6 +359,12 @@ class Analysis:
         if bad:
             raise SymmetryConditionViolated(f"byproduct operators {bad} are not in the projective representation")
         return tuple(m.group_element for m in report.matches)
+
+    @cached_property
+    def weyl(self) -> np.ndarray:
+        """V(g) (x) I_junk for every label g = (a, b), shape (D, D, Db, Db), indexed [a, b]."""
+        D, ident_j = self.point.D, np.eye(self.point.Dj)
+        return np.array([[np.kron(weyl_unitary(D, a, b), ident_j) for b in range(D)] for a in range(D)])
 
     def pair(self, ij) -> Pair:
         """The pair observable of the index pair ij = (i, j), checked, and cached per pair."""

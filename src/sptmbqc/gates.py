@@ -62,24 +62,13 @@ class MeasureStep:
 
 
 @dataclass(frozen=True)
-class InitStep:
-    """Measure, then rotate the obtained eigenstate onto the target one."""
-
-    pair: tuple[int, int]
-    target_index: int
-    n_m: int
-    budget: float = 1e-2
-    wire_n: int | None = None
-
-
-@dataclass(frozen=True)
 class WireStep:
     """A block of oblivious wire sites."""
 
     n: int
 
 
-ProgramStep = GateStep | MeasureStep | InitStep | WireStep
+ProgramStep = GateStep | MeasureStep | WireStep
 
 
 @dataclass(frozen=True)
@@ -96,7 +85,7 @@ class GateProgram:
             wire = s.wire_n if getattr(s, "wire_n", None) is not None else analysis.wire_length
             if isinstance(s, GateStep):
                 total += s.repeats * (1 + wire)
-            elif isinstance(s, (MeasureStep, InitStep)):
+            elif isinstance(s, MeasureStep):
                 total += s.n_m * (1 + wire)
             else:
                 total += s.n
@@ -389,33 +378,6 @@ def nonselective_measurement_channel(analysis: Analysis, step: MeasureStep) -> L
     return imag.compose(real)
 
 
-def init_channel(analysis: Analysis, step: InitStep) -> LogicalChannel:
-    """Idealized init block: projective pair measurement plus the exact corrective unitary.
-
-    The sampled protocol (measurement module) uses the compiled corrections; at
-    channel level the large-n_m limit is represented by projectors.
-    """
-    point, pair = analysis.point, analysis.pair(step.pair)
-    phis, projectors = pair.eigenphases, pair.projectors
-    if step.target_index >= len(phis):
-        raise ValidationError(f"target_index {step.target_index} out of range for {len(phis)} eigenphases")
-    if point.D != 2 or len(phis) != 2:
-        raise ClosureTooSmall("idealized init currently requires a qubit logical space with two eigenphases")
-    sup = np.zeros((point.D ** 2, point.D ** 2), dtype=complex)
-    t = step.target_index
-    for i, p in enumerate(projectors):
-        if i == t:
-            corr = np.eye(point.D, dtype=complex)
-        else:
-            # rank-one projectors for D=2: the correction swaps the two eigenstates
-            vt = principal_vector(projectors[t])
-            vi = principal_vector(projectors[i])
-            corr = np.outer(vt, vi.conj()) + np.outer(vi, vt.conj())
-        k = corr @ p
-        sup += np.kron(k, k.conj())
-    return LogicalChannel(sup, point.D)
-
-
 def principal_vector(projector: np.ndarray) -> np.ndarray:
     """Eigenvector of the largest eigenvalue of a Hermitian matrix (a projector's range, if rank one)."""
     w, v = np.linalg.eigh(projector)
@@ -439,8 +401,6 @@ def compose_program(analysis: Analysis, program: GateProgram) -> LogicalChannel:
                 ch = ch.power(step.repeats)
         elif isinstance(step, MeasureStep):
             ch = nonselective_measurement_channel(analysis, step)
-        elif isinstance(step, InitStep):
-            ch = init_channel(analysis, step)
         elif isinstance(step, WireStep):
             ch = identity_channel(point.D)  # wire acts as identity on the logical factor
         else:
@@ -588,9 +548,7 @@ def compile_su2(
         rotations = [(ax1, c), (ax2, b), (ax1, a)]  # applied left to right in program order
 
     steps = []
-    sites = 0
     predicted_error = 0.0
-    wire = analysis.wire_length
     n_rot = max(1, len([1 for _, th in rotations if abs(th) > 1e-12]))
     for ax, theta in rotations:
         theta = float(np.angle(np.exp(1j * theta)))
@@ -601,9 +559,9 @@ def compile_su2(
         per_budget = error_budget / n_rot
         n_steps = max(1, int(np.ceil(abs(alpha_tot) / 0.19)), int(np.ceil(30 * alpha_tot ** 2 / per_budget)))
         steps.append(GateStep(pair=ax.pair, dalpha=alpha_tot / n_steps, beta=beta, repeats=n_steps))
-        sites += n_steps * (1 + wire)
         predicted_error += 10 * alpha_tot ** 2 / n_steps
-    return CompiledRotation(GateProgram(tuple(steps)), sites, predicted_error)
+    program = GateProgram(tuple(steps))
+    return CompiledRotation(program, program.site_budget(analysis), predicted_error)
 
 
 # ---------------------------------------------------------------------------

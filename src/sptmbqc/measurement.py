@@ -442,10 +442,8 @@ def estimate_nu(
     complementary observable by sin^2(2 alpha |nu_10| sin(beta + delta)).
     Born draws use the exact channel probabilities.
     """
-    point, fix, nu_true = analysis.point, analysis.fix, analysis.nu
-    d = point.d
-    p_diag = np.array([np.trace(fix.ell @ b @ fix.rho @ b.conj().T).real for b in point.B])
-    p_diag = np.clip(p_diag, 0, None)
+    point, nu_true = analysis.point, analysis.nu
+    p_diag = np.clip(nu_true.nu.diagonal().real, 0, None)
     p_diag /= p_diag.sum()
     n_diag = max(samples // 2, 1)
     counts = rng.multinomial(n_diag, p_diag)
@@ -492,7 +490,7 @@ def estimate_nu(
         abs_nu10=float(abs_nu10),
         abs_nu10_sigma=float(a_sigma / (2 * alpha_probe)),
         delta_mod_pi=delta_mod_pi,
-        diag_truth=np.array([nu_true.nu[k, k].real for k in range(d)]),
+        diag_truth=nu_true.nu.diagonal().real.copy(),
         abs_nu10_truth=float(abs(nu_true.nu[1, 0])),
         betas=betas,
         flip_probabilities=flips,
@@ -510,12 +508,13 @@ def _flip_residuals(x: np.ndarray, betas: np.ndarray, flips: np.ndarray) -> tupl
 def fit_flip_curve(betas: np.ndarray, flips: np.ndarray, a0: float) -> tuple[float, float, np.ndarray]:
     """Least-squares fit of flips ~ sin^2(a sin(beta + psi)).
 
-    Damped Gauss-Newton runs from (a0, psi0) for each psi0 of a 9-point grid on
-    [-pi, pi]; the lowest cost wins.  Returns |a|, psi mod pi and the analytic
-    Jacobian at the solution.
+    Damped Gauss-Newton runs from (a, psi0) for each a of a0, 2 a0, 3 a0 and
+    each psi0 of a 9-point grid on [-pi, pi]; the lowest cost wins.  Returns
+    |a|, psi mod pi and the analytic Jacobian at the solution.
     """
-    (a, psi), _, jac = min((_levenberg(betas, flips, np.array([a0, psi0]))
-                            for psi0 in np.linspace(-np.pi, np.pi, 9)), key=lambda fit: fit[1])
+    (a, psi), _, jac = min((_levenberg(betas, flips, np.array([k * a0, psi0]))
+                            for k in (1, 2, 3) for psi0 in np.linspace(-np.pi, np.pi, 9)),
+                           key=lambda fit: fit[1])
     return float(abs(a)), float(psi % np.pi), jac
 
 

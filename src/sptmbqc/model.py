@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -82,11 +83,15 @@ class PhasePoint:
     def Db(self) -> int:
         return self.D * self.Dj
 
-    def site_tensor(self, i: int) -> np.ndarray:
-        return np.kron(self.C[i], self.B[i])
+    def site_tensors(self) -> np.ndarray:
+        """The site tensors C_i (x) B_i stacked as (d, Db, Db), read-only, built on the first call."""
+        return self._site_tensors
 
-    def site_tensors(self) -> list[np.ndarray]:
-        return [self.site_tensor(i) for i in range(self.d)]
+    @cached_property
+    def _site_tensors(self) -> np.ndarray:
+        tensors = np.stack([np.kron(c, b) for c, b in zip(self.C, self.B)])
+        tensors.setflags(write=False)
+        return tensors
 
 
 def _junk_superop(B) -> np.ndarray:

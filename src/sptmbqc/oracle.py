@@ -37,7 +37,7 @@ class DenseResource:
     L: np.ndarray
     R: np.ndarray | None
     amps: np.ndarray     # shape (d,)*n (+ (Db,) in PHI_TILDE mode), unit norm, read-only
-    kappa: float         # normalization constant applied
+    norm: float          # norm of the raw amplitudes, which amps are divided by
 
     @functools.cached_property
     def byproducts(self) -> np.ndarray:
@@ -64,7 +64,7 @@ def build_state_vector(
         L = np.zeros(Db, dtype=complex)
         L[0] = 1.0
     L = np.asarray(L, dtype=complex).reshape(Db)
-    tensors = np.stack(point.site_tensors())
+    tensors = point.site_tensors()
     amps = L.copy()
     for _ in range(n):
         amps = np.einsum("...b,iab->...ia", amps, tensors)
@@ -78,7 +78,7 @@ def build_state_vector(
         raise ValidationError("resource state has zero norm")
     amps = amps / norm
     amps.setflags(write=False)  # one resource is shared by several scenarios
-    return DenseResource(point=point, n=n, mode=mode, L=L, R=R, amps=amps, kappa=1.0 / norm)
+    return DenseResource(point=point, n=n, mode=mode, L=L, R=R, amps=amps, norm=float(norm))
 
 
 def _apply_site_basis(amps: np.ndarray, U: np.ndarray, axis: int) -> np.ndarray:
@@ -227,11 +227,12 @@ def _channel_wire_state(point: PhasePoint, L: np.ndarray, n: int) -> np.ndarray:
     return tau / np.trace(tau).real
 
 
-def scenario_wire(res: DenseResource, j: np.ndarray) -> dict:
-    """Procedures I/II/III on the resource's wire (product boundary L = l (x) j), both engines."""
+def scenario_wire(res: DenseResource, rev: OracleResult, j: np.ndarray) -> dict:
+    """Procedures I/II/III on the resource's wire (product boundary L = l (x) j), both engines.
+
+    `rev` is the resource's wire-basis simulation with the byproducts reversed.
+    """
     point, n, L = res.point, res.n, res.L
-    plain = simulate_measurements(res, _wire_bases(n))
-    rev = simulate_measurements(res, _wire_bases(n), reverse_byproduct=True)
 
     # Procedure III: path-summed boundary state equals I (x) L^n (|L><L|)
     rows = rev.boundary_states
@@ -250,7 +251,7 @@ def scenario_wire(res: DenseResource, j: np.ndarray) -> dict:
     jp = junk_products(point, n)
     q_formula = (np.abs(jp @ j) ** 2).sum(axis=1)
     q_formula = q_formula / q_formula.sum()
-    dev_q = float(np.max(np.abs(plain.q / plain.q.sum() - q_formula)))
+    dev_q = float(np.max(np.abs(rev.q / rev.q.sum() - q_formula)))
     return {"procedure_iii_state": dev_p3, "procedure_ii_invariance": dev_p2,
             "wire_marginal_formula": dev_q}
 
@@ -294,14 +295,14 @@ def scenario_weak_step(analysis: Analysis, res: DenseResource, pair, alpha: floa
     return {"weak_step_probs": dev_p, "weak_step_states": dev_state}
 
 
-def scenario_appendix_a(res: DenseResource, l: np.ndarray, observable: np.ndarray,
-                        rng: np.random.Generator, samples: int = 10_000) -> dict:
+def scenario_appendix_a(out: OracleResult, l: np.ndarray, observable: np.ndarray) -> dict:
     """Joint law q_A(s, o) = q(s) p_A(o|s) with p_A independent of s, plus sampling.
 
-    The resource's boundary is a product L = l (x) j.
+    `out` is the wire-basis simulation, byproducts reversed, of a resource
+    whose boundary is a product L = l (x) j, with `observable` measured on the
+    boundary and sampled pairs drawn.
     """
-    out = simulate_measurements(res, _wire_bases(res.n), reverse_byproduct=True,
-                                boundary_observable=observable, rng=rng, samples=samples)
+    samples = len(out.samples)
     cond = out.joint / out.q[:, None]
     dev_cond = float(np.max(np.abs(cond - cond[0])))
     w, v = np.linalg.eigh(observable)
@@ -352,7 +353,7 @@ def runway_marginal(point: PhasePoint, measured: int, L: np.ndarray, weight: np.
     Flat order as in simulate_measurements (site 1 most significant); weight is
     the runway's reverse weight Fbar^runway(|R><R|).
     """
-    tensors = np.stack(point.site_tensors())
+    tensors = point.site_tensors()
     v = np.asarray(L, dtype=complex)[None]
     for _ in range(measured):
         v = (tensors[None] @ v[:, None, :, None]).reshape(-1, point.Db)
@@ -360,20 +361,15 @@ def runway_marginal(point: PhasePoint, measured: int, L: np.ndarray, weight: np.
     return q / q.sum()
 
 
-def scenario_norm(point: PhasePoint, n: int, L: np.ndarray) -> dict:
-    """Dense norm vs transfer-matrix norm of the same state."""
-    d, Db = point.d, point.Db
-    tensors = np.stack(point.site_tensors())
-    amps = np.asarray(L, dtype=complex)
-    for _ in range(n):
-        amps = np.einsum("...b,iab->...ia", amps, tensors)
-    dense = np.linalg.norm(amps) ** 2
-    tau = np.outer(L, np.asarray(L).conj())
+def scenario_norm(res: DenseResource) -> dict:
+    """Dense norm of a PHI_TILDE resource vs the transfer-matrix norm of the same state."""
+    tensors = res.point.site_tensors()
+    tau = np.outer(res.L, res.L.conj())
     tensors_dag = tensors.conj().swapaxes(-1, -2)
-    for _ in range(n):
+    for _ in range(res.n):
         tau = (tensors @ tau @ tensors_dag).sum(axis=0)
     transfer = np.trace(tau).real
-    return {"norm_agreement": float(abs(dense - transfer) / transfer)}
+    return {"norm_agreement": float(abs(res.norm ** 2 - transfer) / transfer)}
 
 
 @dataclass
@@ -396,17 +392,20 @@ def conformance_suite(point: PhasePoint, n: int, rng: np.random.Generator,
 
     # the bond-space side of the step scenarios runs the engine's own tilted-site map
     analysis = analyze(point)
-    # one product-boundary resource (and byproduct table) for the four wire scenarios
+    # one product-boundary resource (and byproduct table) for the wire, step and norm
+    # scenarios, and one reversed wire-basis simulation for the wire and appendix-A ones
     res = build_state_vector(point, n, OracleMode.PHI_TILDE, L=L_prod)
-    devs = {}
-    devs.update(scenario_wire(res, j))
-    devs.update(scenario_gate_step(analysis, res, (0, 1), 0.05, np.pi / 2))
-    devs.update(scenario_weak_step(analysis, res, (0, 1), 0.7, 0.3))
     obs = gates.pair_operator(point, (0, 1))
     obs = (obs + obs.conj().T) / 2
-    devs.update(scenario_appendix_a(res, l, obs, rng, samples))
+    rev = simulate_measurements(res, _wire_bases(n), reverse_byproduct=True,
+                                boundary_observable=obs, rng=rng, samples=samples)
+    devs = {}
+    devs.update(scenario_wire(res, rev, j))
+    devs.update(scenario_gate_step(analysis, res, (0, 1), 0.05, np.pi / 2))
+    devs.update(scenario_weak_step(analysis, res, (0, 1), 0.7, 0.3))
+    devs.update(scenario_appendix_a(rev, l, obs))
     devs.update(scenario_runway(point, min(n, 3), n - min(n, 3), L_prod, R))
-    devs.update(scenario_norm(point, n, L_prod))
+    devs.update(scenario_norm(res))
     z = devs.pop("appendix_a_sampled_z")
     return ConformanceReport(deviations=devs,
                              max_deviation=float(max(devs.values())),

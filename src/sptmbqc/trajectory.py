@@ -29,11 +29,10 @@ from .channel import (
     Channel,
     VirtualState,
     fixed_point,
-    reverse_full_channel,
     reverse_junk_channel,
 )
 from .errors import DegenerateLeadingEigenvalue, ValidationError
-from .model import PhasePoint, encode_matrix, weyl_unitary
+from .model import PhasePoint, encode_matrix
 
 
 class Procedure(enum.Enum):
@@ -122,12 +121,29 @@ def expand_sites(analysis: Analysis, program: gates.GateProgram) -> tuple[list[_
                 block = [_Site(ops=ops, kind="measure", adapted=True, segment=seg, half=half,
                                pair=step.pair)] + [wire] * wn
                 sites.extend(block * n_steps)
-        elif isinstance(step, gates.InitStep):
-            raise ValidationError("init steps are not supported in trajectory sampling; "
-                                  "use measurement.initialize")
         else:
             raise ValidationError(f"unknown step type {type(step).__name__}")
     return sites, segments
+
+
+def label_states(analysis: Analysis, sites: list[_Site], left: np.ndarray) -> np.ndarray:
+    """Byproduct-resolved states, shape (D, D, Db, Db).
+
+    Entry [a, b] sums the actions of every outcome string on `left` whose
+    byproduct carries the Z_D x Z_D label (a, b): per site, each outcome's
+    op tau op^dag moves to the label shifted by that outcome's label.  The
+    labels are read first, so the symmetry condition is checked even for no sites.
+    """
+    labels = analysis.labels
+    D = analysis.point.D
+    states = np.zeros((D, D) + left.shape, dtype=complex)
+    states[0, 0] = left
+    for site in sites:
+        new = np.zeros_like(states)
+        for op, g in zip(site.ops, labels):
+            new += np.roll(op @ states @ op.conj().T, g, axis=(0, 1))
+        states = new
+    return states
 
 
 def _left_density(point: PhasePoint, left) -> np.ndarray:
@@ -158,7 +174,7 @@ class TrajectoryEngine:
         self.point = point
         self.sites, self.segments = expand_sites(config.analysis, config.program)
         self.left = _left_density(point, config.left_boundary)
-        fbar = reverse_full_channel(point)
+        fbar = config.analysis.fbar
         if config.boundary is BoundaryMode.PHI_TILDE:
             base = np.eye(point.Db, dtype=complex)
         else:
@@ -183,10 +199,7 @@ class TrajectoryEngine:
             # the byproduct is a Weyl element V(g) up to a phase, which cancels
             # in the weight conjugation; trials are tracked by the label g
             self.labels = np.array(config.analysis.labels)      # (d, 2)
-            ident_j = np.eye(point.Dj)
-            self.weyl_j = np.array([[np.kron(weyl_unitary(point.D, a, b), ident_j)
-                                     for b in range(point.D)]
-                                    for a in range(point.D)])   # (D, D, Db, Db)
+            self.weyl_j = config.analysis.weyl                  # (D, D, Db, Db)
         if self.segments:
             # the boundary outcome is the eigenphase the final measurement reads
             final = self.segments[-1]
@@ -290,30 +303,24 @@ class PathSumResult:
     stderr: float
 
 
-def add_paths(config: RunConfig, trials: int, seed: int, exact: bool = False,
-              max_strings: int = 1 << 16) -> PathSumResult:
-    """Path sum of corrected trajectories: Monte Carlo average over `trials` runs, or exact enumeration.
+def add_paths(config: RunConfig, trials: int, seed: int, exact: bool = False) -> PathSumResult:
+    """Path sum of corrected trajectories: Monte Carlo average over `trials` runs, or the exact sum.
 
-    Per-trial streams are spawned from (seed, trial index), so the estimate is
-    independent of execution order.
+    The exact sum applies the outcome-summed map sum_k op_k rho op_k^dag site
+    by site, which adds all d^n outcome strings.  Per-trial streams are
+    spawned from (seed, trial index), so the estimate is independent of
+    execution order.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     point = config.analysis.point
     if exact:
         sites, _ = expand_sites(config.analysis, config.program)
-        if point.d ** len(sites) > max_strings:
-            raise ValidationError(f"exact enumeration over {point.d}^{len(sites)} strings exceeds the cap")
-        left = config.left_boundary if config.left_boundary is not None else _default_left(point)
-        left = np.asarray(left, dtype=complex)
-        if left.ndim != 1:
-            raise ValidationError("exact enumeration needs a pure left boundary vector")
-        vecs = left.reshape(1, -1)
+        rho = _left_density(point, config.left_boundary)
         for site in sites:
-            vecs = np.concatenate([vecs @ op.T for op in site.ops], axis=0)
-        rho = vecs.T @ vecs.conj()
+            rho = (site.ops @ rho @ site.ops.conj().swapaxes(-1, -2)).sum(axis=0)
         return PathSumResult(state=VirtualState(rho / np.trace(rho).real, point.D, point.Dj),
-                             n_paths=vecs.shape[0], stderr=0.0)
+                             n_paths=point.d ** len(sites), stderr=0.0)
     records = TrajectoryEngine(config).sample([np.random.default_rng((seed, t)) for t in range(trials)])
     rhos = np.stack([rec.final_state.rho for rec in records])
     mean = rhos.mean(axis=0)
@@ -361,41 +368,21 @@ def boundary_equivalence(
     _check_boundary("right_boundary", right_boundary)
     point = analysis.point
     final = program.steps[-1]
-    body = gates.GateProgram(program.steps[:-1])
-    labels = analysis.labels
-    D = point.D
-    sites, _ = expand_sites(analysis, body)
+    sites, _ = expand_sites(analysis, gates.GateProgram(program.steps[:-1]))
     left = _left_density(point, left_boundary)
-    states: dict[tuple, np.ndarray] = {(0, 0): left}
-    for site in sites:
-        new: dict[tuple, np.ndarray] = {}
-        for g, tau in states.items():
-            for s, op in enumerate(site.ops):
-                a, b = labels[s]
-                key = ((g[0] + a) % D, (g[1] + b) % D)
-                x = op @ tau @ op.conj().T
-                if key in new:
-                    new[key] += x
-                else:
-                    new[key] = x
-        states = new
+    states = label_states(analysis, sites, left)
 
     obs = analysis.pair(final.pair)
-    phis, projectors = obs.eigenphases, obs.projectors
-    ident_j = np.eye(point.Dj)
+    phis = obs.eigenphases
     if right_boundary is None:
         right_boundary = _default_left(point)
-    w_run = runway_weight(reverse_full_channel(point), right_boundary, runway_n)
-
-    p_tilde = np.zeros(len(phis))
-    p_run = np.zeros(len(phis))
-    for i, proj in enumerate(projectors):
-        pw = np.kron(proj, ident_j)
-        for g, tau in states.items():
-            vg = np.kron(weyl_unitary(D, *g), ident_j)
-            cut = pw @ tau @ pw.conj().T
-            p_tilde[i] += np.trace(cut).real
-            p_run[i] += np.trace(cut @ vg.conj().T @ w_run @ vg).real
+    w_run = runway_weight(analysis.fbar, right_boundary, runway_n)
+    # one projected state per (eigenphase, label); the runway weight as seen through each label
+    pw = np.stack([np.kron(p, np.eye(point.Dj)) for p in obs.projectors])[:, None, None]
+    cut = pw @ states @ pw.conj().swapaxes(-1, -2)                        # (m, D, D, Db, Db)
+    seen = analysis.weyl.conj().swapaxes(-1, -2) @ w_run @ analysis.weyl  # (D, D, Db, Db)
+    p_tilde = np.trace(cut, axis1=-2, axis2=-1).real.sum(axis=(1, 2))
+    p_run = np.einsum("mghab,ghba->m", cut, seen).real
     p_tilde /= p_tilde.sum()
     p_run /= p_run.sum()
     tv_exact = 0.5 * float(np.sum(np.abs(p_tilde - p_run)))
@@ -433,8 +420,7 @@ class ReverseFixedPoint:
 def completely_oblivious_fixed_point(analysis: Analysis) -> ReverseFixedPoint:
     """Top eigenoperator of Fbar = sum_s [A_s^dag], checked against I/D (x) junk fixed point."""
     point = analysis.point
-    fbar = reverse_full_channel(point)
-    fix_full = fixed_point(fbar)  # raises DegenerateLeadingEigenvalue when degenerate
+    fix_full = fixed_point(analysis.fbar)  # raises DegenerateLeadingEigenvalue when degenerate
     fix_junk = fixed_point(reverse_junk_channel(point))
     tau = fix_full.rho
     logical = tau.reshape(point.D, point.Dj, point.D, point.Dj).trace(axis1=1, axis2=3)

@@ -423,10 +423,12 @@ def test_estimate_nu_small(perturbed_nu, perturbed_an):
     assert abs(est.abs_nu10 - est.abs_nu10_truth) / est.abs_nu10_truth < 0.1
 
 
-@pytest.mark.parametrize("a, psi", [(1.2, 0.3), (0.45, 2.2), (1.5, -1.1), (2.0, -2.5)])
+@pytest.mark.parametrize("a, psi", [(1.2, 0.3), (0.45, 2.2), (1.5, -1.1), (2.0, -2.5),
+                                    (3.0, 1.4), (2.4, -1.1)])
 def test_fit_flip_curve_recovers_noise_free(a, psi):
     # noise-free flips of the nu self-test model at its four probe angles, with
     # a = 2 alpha |nu_10| in the self-test's range (alpha = 3, |nu_10| ~ 1/4)
+    # and beyond it, where a single start at a0 = 1.2 finds a local minimum
     betas = np.array([0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4])
     flips = np.sin(a * np.sin(betas + psi)) ** 2
     a_hat, psi_hat, jac = meas.fit_flip_curve(betas, flips, 1.2)

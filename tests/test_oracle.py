@@ -39,7 +39,7 @@ def test_size_cap(perturbed):
 def test_norm_matches_transfer_matrix(perturbed):
     rng = np.random.default_rng(0)
     L = random_state(4, rng)
-    dev = oracle.scenario_norm(perturbed, 6, L)["norm_agreement"]
+    dev = oracle.scenario_norm(oracle.build_state_vector(perturbed, 6, L=L))["norm_agreement"]
     assert dev < 1e-12
 
 
@@ -108,7 +108,9 @@ def test_appendix_a_identity(perturbed):
     obs = gates.pair_operator(perturbed, (0, 1))
     obs = (obs + obs.conj().T) / 2
     res = oracle.build_state_vector(perturbed, 6, L=np.kron(l, j))
-    out = oracle.scenario_appendix_a(res, l, obs, rng, samples=10_000)
+    out = oracle.simulate_measurements(res, [None] * 6, reverse_byproduct=True,
+                                       boundary_observable=obs, rng=rng, samples=10_000)
+    out = oracle.scenario_appendix_a(out, l, obs)
     assert out["appendix_a_conditional"] < 1e-12
     assert out["appendix_a_born"] < 1e-12
     assert out["appendix_a_sampled_z"] < 3.0
@@ -118,7 +120,9 @@ def test_wire_marginal_formula(perturbed):
     rng = np.random.default_rng(2)
     l = random_state(2, rng)
     j = random_state(2, rng)
-    devs = oracle.scenario_wire(oracle.build_state_vector(perturbed, 5, L=np.kron(l, j)), j)
+    res = oracle.build_state_vector(perturbed, 5, L=np.kron(l, j))
+    rev = oracle.simulate_measurements(res, [None] * 5, reverse_byproduct=True)
+    devs = oracle.scenario_wire(res, rev, j)
     assert devs["wire_marginal_formula"] < 1e-12
     assert devs["procedure_ii_invariance"] < 1e-12
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from sptmbqc import channel, gates, measurement as meas, trajectory as traj
+from sptmbqc import channel, gates, measurement as meas, model, trajectory as traj
 from sptmbqc.errors import ValidationError, VanishingProbability
-from conftest import random_state
+from conftest import random_density, random_state
 
 
 def wire_program(n):
@@ -78,6 +78,16 @@ def test_exact_path_sum_cluster(cluster2_an):
     ps = traj.add_paths(cfg, 1, 0, exact=True)
     expected = channel.oblivious_wire(
         channel.VirtualState.from_boundary_vector(L, 2, 1), cluster2_an, 4)
+    assert np.max(np.abs(ps.state.rho - expected.rho)) < 1e-14
+
+
+def test_exact_path_sum_mixed_left_density(perturbed_an):
+    rng = np.random.default_rng(9)
+    left = random_density(4, rng)
+    cfg = traj.RunConfig(analysis=perturbed_an, program=wire_program(5), left_boundary=left)
+    ps = traj.add_paths(cfg, 1, 0, exact=True)
+    expected = channel.oblivious_wire(channel.VirtualState(left, 2, 2), perturbed_an, 5)
+    assert ps.n_paths == 4 ** 5
     assert np.max(np.abs(ps.state.rho - expected.rho)) < 1e-14
 
 
@@ -190,6 +200,55 @@ def test_boundary_runways_sample_independently(perturbed_fix, perturbed_an, monk
     assert tilde_40 != tilde_41 and runway_40 != runway_41
 
 
+def _boundary_dict_loop(analysis, program, runway_n, left, right):
+    # reference: the label-keyed dict evolution and per-label kron that
+    # boundary_equivalence's array recursion replaced
+    point = analysis.point
+    D, ident_j, labels = point.D, np.eye(point.Dj), analysis.labels
+    sites, _ = traj.expand_sites(analysis, gates.GateProgram(program.steps[:-1]))
+    states = {(0, 0): left / np.trace(left).real}
+    for site in sites:
+        new = {}
+        for g, tau in states.items():
+            for s, op in enumerate(site.ops):
+                key = ((g[0] + labels[s][0]) % D, (g[1] + labels[s][1]) % D)
+                new[key] = new.get(key, 0) + op @ tau @ op.conj().T
+        states = new
+    obs = analysis.pair(program.steps[-1].pair)
+    w_run = traj.runway_weight(channel.reverse_full_channel(point), right, runway_n)
+    p_tilde = np.zeros(len(obs.eigenphases))
+    p_run = np.zeros(len(obs.eigenphases))
+    for i, proj in enumerate(obs.projectors):
+        pw = np.kron(proj, ident_j)
+        for g, tau in states.items():
+            vg = np.kron(model.weyl_unitary(D, *g), ident_j)
+            cut = pw @ tau @ pw.conj().T
+            p_tilde[i] += np.trace(cut).real
+            p_run[i] += np.trace(cut @ vg.conj().T @ w_run @ vg).real
+    return p_tilde / p_tilde.sum(), p_run / p_run.sum()
+
+
+@pytest.mark.parametrize("which", ["perturbed", "perturbed3"])
+def test_boundary_equivalence_matches_label_dict_loop(request, which):
+    point = request.getfixturevalue(which)
+    analysis = channel.analyze(point)
+    rng = np.random.default_rng(13)
+    left = random_density(point.Db, rng)
+    right = random_state(point.Db, rng)
+    program = gates.GateProgram((
+        gates.GateStep((0, 1), 0.1, 0.4, wire_n=2),
+        gates.MeasureStep((0, 2), 0.6, 3, wire_n=1),
+        gates.MeasureStep((0, 1), np.pi / 4, 10),
+    ))
+    for runway in (0, 3):
+        rep = traj.boundary_equivalence(analysis, program, runway_n=runway,
+                                        left_boundary=left, right_boundary=right)
+        p_tilde, p_run = _boundary_dict_loop(analysis, program, runway, left, right)
+        np.testing.assert_allclose(rep.p_tilde, p_tilde, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rep.p_runway, p_run, rtol=0, atol=1e-12)
+        assert rep.tv_exact == pytest.approx(0.5 * np.sum(np.abs(p_tilde - p_run)), abs=1e-12)
+
+
 def test_boundary_requires_final_measurement(perturbed_an):
     with pytest.raises(ValidationError):
         traj.boundary_equivalence(perturbed_an, wire_program(3), runway_n=5)
@@ -206,13 +265,6 @@ def test_completely_oblivious_cluster(cluster2_an):
     rfp = traj.completely_oblivious_fixed_point(cluster2_an)
     assert rfp.eigenvalue == pytest.approx(1.0, abs=1e-12)
     assert rfp.logical_deviation < 1e-12
-
-
-def test_init_step_rejected_in_sampling(perturbed_an):
-    program = gates.GateProgram((gates.InitStep((0, 1), 0, 100),))
-    cfg = traj.RunConfig(analysis=perturbed_an, program=program)
-    with pytest.raises(ValidationError):
-        traj.TrajectoryEngine(cfg).sample([np.random.default_rng(0)])[0]
 
 
 def test_measure_step_seed_stream_contract(cluster2, cluster2_an):
