@@ -38,7 +38,7 @@ def estimate_scatter(out: Path, seed: int) -> None:
     lines = ["n_m,trial,cos_estimate,in_range"]
     for n_m in (25, 50, 100, 200, 400, 800, 1600):
         trials = 100
-        seg, _ = meas.filter_trajectories(params, phis, pops, [(n_m, 0.0)], trials, alpha, rng)
+        seg = meas.filter_trajectories(params, phis, pops, [(n_m, 0.0)], trials, alpha, rng)
         ests = meas.mcos_estimate(params, alpha, seg[0][:, 0], seg[0][:, 1])
         for t, est in enumerate(ests.tolist()):
             lines.append(f"{n_m},{t},{est!r},{str(abs(est) <= 1).lower()}")

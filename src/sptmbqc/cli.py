@@ -213,7 +213,7 @@ def cmd_run_measure(args) -> int:
     pops = np.full(len(phis), 1.0 / len(phis))
     rng = np.random.default_rng(args.seed)
     schedule = gates.MeasureStep(pair.index, args.alpha, args.nm).schedule
-    seg_counts, _ = measurement.filter_trajectories(
+    seg_counts = measurement.filter_trajectories(
         params, phis, pops, schedule, args.trials, args.alpha, rng)
     rd = RunDir(args.out, "run measure", _params(args), args.seed, Path(args.model))
     interp = measurement.interpret_counts(params, args.alpha, seg_counts[0], seg_counts[1], phis)

@@ -272,9 +272,15 @@ def measure_observable_tuned(
 #
 # In the eigenbasis of C the diagonal populations close on themselves under
 # weak measurement (the off-diagonals never feed back into outcome statistics),
-# so Born sampling reduces to multiplying populations by filter values.  This
-# is exact in the fixed-point regime and is cross-checked against the full
-# virtual-space sampler in the tests.
+# and one step multiplies the population of eigenphase phi_k by f_0(phi_k),
+# f_1(phi_k) or the weight of the outcomes outside the pair.  The sum rule
+# f_0(phi) + f_1(phi) = nu_ii + nu_jj holds for every phi, so the three weights
+# of eigenphase k always add up to the same total: the trial is a mixture in
+# which k is drawn once from the initial populations and every step then draws
+# independently from (f_0(phi_k), f_1(phi_k), rest).  The counts of a segment
+# are one multinomial draw, and N_0, N_1 weigh phi_k by the accumulated filter
+# F = f_0^N_0 f_1^N_1.  This is exact in the fixed-point regime and is
+# cross-checked against the full virtual-space sampler in the tests.
 
 def filter_trajectories(
     params: PairFilter,
@@ -284,38 +290,31 @@ def filter_trajectories(
     trials: int,
     alpha: float,
     rng: np.random.Generator,
-) -> tuple[list[np.ndarray], np.ndarray]:
+) -> list[np.ndarray]:
     """Sample weak-measurement records for many trials at once.
 
-    schedule is a list of (steps, beta) segments.  Returns per-segment count
-    arrays of shape (trials, 2) and the final populations (trials, m).  Raises
-    VanishingProbability when the initial populations are non-finite or sum to zero.
+    schedule is a list of (steps, beta) segments.  Each trial draws its
+    eigenphase index k once from the normalized populations (`draw_outcomes`),
+    then each segment's (N_0, N_1, N_rest) from Multinomial(steps, law[k]),
+    where law[k] is (f_0(phi_k), f_1(phi_k), rest) with rounding-level
+    negatives clipped to zero and normalized, so unnormalized filters sample
+    the same law.  Returns per-segment count arrays of shape (trials, 2).
+    Raises VanishingProbability when the initial populations are non-finite or
+    sum to zero, or when the filter gives every outcome zero weight.
     """
     populations = np.asarray(populations, dtype=float)
     if not (np.all(np.isfinite(populations)) and populations.sum() > 0):
         raise VanishingProbability("initial populations must be finite with a positive sum")
-    pops = np.tile(populations, (trials, 1))
-    pops /= pops.sum(axis=1, keepdims=True)
+    k = draw_outcomes(np.broadcast_to(populations, (trials, len(populations))), rng.random(trials))
     seg_counts = []
     for steps, beta in schedule:
         f0, f1 = filter_values(params, alpha, beta, eigenphases)
-        # row k multiplies the populations after outcome k (2: outside the pair)
-        factors = np.stack([f0, f1, np.ones_like(f0)])
-        counts = np.zeros((trials, 2), dtype=np.int64)
-        for _ in range(steps):
-            w0 = pops @ f0
-            w1 = pops @ f1
-            total = w0 + w1 + params.rest
-            p0 = w0 / total
-            p1 = w1 / total
-            r = rng.random(trials)
-            k = np.where(r < p0, 0, np.where(r < p0 + p1, 1, 2))
-            counts[:, 0] += k == 0
-            counts[:, 1] += k == 1
-            pops *= factors[k]
-            pops /= pops.sum(axis=1, keepdims=True)
-        seg_counts.append(counts)
-    return seg_counts, pops
+        law = np.clip(np.stack([f0, f1, np.full_like(f0, params.rest)], axis=1), 0.0, None)
+        total = law.sum(axis=1, keepdims=True)
+        if not np.all(total > 0):
+            raise VanishingProbability("the filter gives every outcome zero weight")
+        seg_counts.append(rng.multinomial(steps, (law / total)[k])[:, :2])
+    return seg_counts
 
 
 @dataclass
@@ -344,7 +343,7 @@ def born_statistics(
     params = obs.filter
     pops = np.array([max(b, 0.0) for b in born])
     schedule = gates.MeasureStep(pair, alpha, n_m).schedule
-    seg_counts, _ = filter_trajectories(params, eigenphases, pops, schedule, trials, alpha, rng)
+    seg_counts = filter_trajectories(params, eigenphases, pops, schedule, trials, alpha, rng)
     matched = interpret_counts(params, alpha, seg_counts[0], seg_counts[1], eigenphases)["matched_index"]
     freqs = np.bincount(matched, minlength=len(eigenphases)) / trials
     sig = np.sqrt(np.clip(born * (1 - born), 0, None) / trials)
@@ -498,44 +497,68 @@ def estimate_nu(
 
 
 def _flip_residuals(x: np.ndarray, betas: np.ndarray, flips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals sin^2(a sin(beta + psi)) - flips and their Jacobian in (a, psi)."""
-    a, psi = x
+    """Residuals sin^2(a sin(beta + psi)) - flips (S, n) and their Jacobians (S, n, 2)
+    in (a, psi), for each row (a, psi) of x (S, 2)."""
+    a, psi = x[:, :1], x[:, 1:]
     s, c = np.sin(betas + psi), np.cos(betas + psi)
     slope = np.sin(2 * a * s)  # d sin^2(u) / du at u = a s
-    return np.sin(a * s) ** 2 - flips, np.column_stack([slope * s, slope * a * c])
+    return np.sin(a * s) ** 2 - flips, np.stack([slope * s, slope * a * c], axis=-1)
 
 
 def fit_flip_curve(betas: np.ndarray, flips: np.ndarray, a0: float) -> tuple[float, float, np.ndarray]:
     """Least-squares fit of flips ~ sin^2(a sin(beta + psi)).
 
     Damped Gauss-Newton runs from (a, psi0) for each a of a0, 2 a0, 3 a0 and
-    each psi0 of a 9-point grid on [-pi, pi]; the lowest cost wins.  Returns
-    |a|, psi mod pi and the analytic Jacobian at the solution.
+    each psi0 of a 9-point grid on [-pi, pi]; the lowest cost wins (the first
+    start on a tie).  Returns |a|, psi mod pi and the analytic Jacobian at the
+    solution.
     """
-    (a, psi), _, jac = min((_levenberg(betas, flips, np.array([k * a0, psi0]))
-                            for k in (1, 2, 3) for psi0 in np.linspace(-np.pi, np.pi, 9)),
-                           key=lambda fit: fit[1])
-    return float(abs(a)), float(psi % np.pi), jac
+    starts = np.array([(k * a0, psi0) for k in (1, 2, 3) for psi0 in np.linspace(-np.pi, np.pi, 9)])
+    x, cost, jac = _levenberg(betas, flips, starts)
+    best = int(np.argmin(cost))
+    a, psi = x[best]
+    return float(abs(a)), float(psi % np.pi), jac[best]
 
 
-def _levenberg(betas: np.ndarray, flips: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    """Damped Gauss-Newton (Levenberg steps) from x: (solution, cost, Jacobian).
+def _levenberg(betas: np.ndarray, flips: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Damped Gauss-Newton (Levenberg steps) from each start row of x (S, 2):
+    (solutions, costs, Jacobians).
 
-    It stops once a step is at the rounding level of x, or once the damping
-    needed for a step that lowers the cost exceeds 1e16.
+    All starts iterate together, each with its own damping.  A start stops
+    once a step is at the rounding level of its x, or once the damping needed
+    for a step that lowers its cost exceeds 1e16; stopped starts are left out
+    of later iterations.
     """
+    x = np.array(x, dtype=float)
     r, jac = _flip_residuals(x, betas, flips)
-    cost, lam = 0.5 * float(r @ r), 1e-3
+    cost, lam = 0.5 * _row_dots(r), np.full(len(x), 1e-3)
+    live = np.arange(len(x))
     for _ in range(200):
-        step = np.linalg.solve(jac.T @ jac + lam * np.eye(2), -jac.T @ r)
-        r_new, jac_new = _flip_residuals(x + step, betas, flips)
-        cost_new = 0.5 * float(r_new @ r_new)
-        if cost_new < cost:
-            x, r, jac, cost, lam = x + step, r_new, jac_new, cost_new, max(lam * 0.1, 1e-12)
-            if np.linalg.norm(step) <= 1e-15 * (1.0 + np.linalg.norm(x)):
-                break
-        else:
-            lam *= 10.0
-            if lam > 1e16:
-                break
+        if not live.size:
+            break
+        jt = jac[live].transpose(0, 2, 1)
+        normal = jt @ jac[live] + lam[live, None, None] * np.eye(2)
+        step = np.linalg.solve(normal, -jt @ r[live, :, None])[:, :, 0]
+        x_new = x[live] + step
+        r_new, jac_new = _flip_residuals(x_new, betas, flips)
+        cost_new = 0.5 * _row_dots(r_new)
+        better = cost_new < cost[live]
+        won = live[better]
+        x[won], r[won], jac[won], cost[won] = x_new[better], r_new[better], jac_new[better], cost_new[better]
+        lam[won] = np.maximum(lam[won] * 0.1, 1e-12)
+        lam[live[~better]] *= 10.0
+        done = np.where(better,
+                        np.linalg.norm(step, axis=1) <= 1e-15 * (1.0 + np.linalg.norm(x_new, axis=1)),
+                        lam[live] > 1e16)
+        live = live[~done]
     return x, cost, jac
+
+
+def _row_dots(r: np.ndarray) -> np.ndarray:
+    """r[s] @ r[s] for each row of r (S, n), as stacked 1 x n by n x 1 products.
+
+    These round as the 1-D dot product of one row does (a row sum or an einsum
+    does not), so each start's accept/reject decisions do not depend on how
+    many starts run beside it.
+    """
+    return (r[:, None, :] @ r[:, :, None])[:, 0, 0]

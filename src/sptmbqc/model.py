@@ -61,9 +61,12 @@ def _freeze(mats) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhasePoint:
-    """Wire-basis model: site tensors A[i] = C_i (x) B_i on a D*Dj bond space."""
+    """Wire-basis model: site tensors A[i] = C_i (x) B_i on a D*Dj bond space.
+
+    Points compare and hash by identity: their fields hold numpy arrays.
+    """
 
     d: int
     D: int
@@ -73,7 +76,7 @@ class PhasePoint:
     kappa_norm: float = 1.0
     label: str = ""
     # smallest injective block length, where the builder checked it (not serialized)
-    injectivity_K: int | None = field(default=None, compare=False)
+    injectivity_K: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "C", _freeze(self.C))

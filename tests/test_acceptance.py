@@ -124,7 +124,7 @@ def test_criterion_6_filter_and_measurement_suite(perturbed_nu):
     pops = np.full(8, 1 / 8)
     rng = np.random.default_rng(606)
     trials, n_m, alpha = 200, 1600, 0.5
-    seg, _ = meas.filter_trajectories(fig3, phis, pops, [(n_m, 0.0)], trials, alpha, rng)
+    seg = meas.filter_trajectories(fig3, phis, pops, [(n_m, 0.0)], trials, alpha, rng)
     ests = np.array([meas.mcos_estimate(fig3, alpha, *seg[0][t]) for t in range(trials)])
     true_cos = np.unique(np.round(np.cos(phis), 12))
     dist = np.min(np.abs(ests[:, None] - true_cos[None, :]), axis=1)
@@ -136,8 +136,8 @@ def test_criterion_6_filter_and_measurement_suite(perturbed_nu):
     sd_detail = []
     rng = np.random.default_rng(607)
     for n in (100, 400, 1600, 6400):
-        seg, _ = meas.filter_trajectories(sd_params, np.array([np.pi / 3]), np.array([1.0]),
-                                          [(n, 0.0)], 2000, np.pi / 4, rng)
+        seg = meas.filter_trajectories(sd_params, np.array([np.pi / 3]), np.array([1.0]),
+                                       [(n, 0.0)], 2000, np.pi / 4, rng)
         sd = float(np.std([meas.mcos_estimate(sd_params, np.pi / 4, *seg[0][t])
                            for t in range(2000)]))
         formula = (sd_params.nu_ii + sd_params.nu_jj) / (4 * abs(sd_params.nu_ji) * np.sqrt(n))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,34 +173,110 @@ def test_interpret_counts_matches_row_reference(perturbed_nu):
         assert got["out_of_range"][t] == ref[4]
 
 
-def test_filter_trajectories_matches_masked_reference(perturbed_nu):
-    params = meas.PairFilter.from_nu(perturbed_nu, (0, 2))
-    assert params.rest > 0
-    phis = np.array([0.0, 2.0, np.pi])
-    pops = np.array([0.5, 0.2, 0.3])
-    schedule = [(40, 0.0), (30, np.pi / 2)]
-    counts, final = meas.filter_trajectories(params, phis, pops, schedule, 300, 0.7,
-                                             np.random.default_rng(5))
-    # boolean-mask form of the same dynamics, drawing the same stream
-    rng = np.random.default_rng(5)
-    ref_pops = np.tile(pops / pops.sum(), (300, 1))
-    for (steps, beta), got in zip(schedule, counts):
-        f0, f1 = meas.filter_values(params, 0.7, beta, phis)
-        ref = np.zeros((300, 2), dtype=np.int64)
+def _per_step_filter_loop(params, eigenphases, populations, schedule, trials, alpha, rng):
+    """The per-step Bayesian form of the filter sampler: every step draws one
+    outcome from the current populations and reweights them by its filter."""
+    pops = np.tile(populations / populations.sum(), (trials, 1))
+    seg_counts = []
+    for steps, beta in schedule:
+        f0, f1 = meas.filter_values(params, alpha, beta, eigenphases)
+        factors = np.stack([f0, f1, np.ones_like(f0)])
+        counts = np.zeros((trials, 2), dtype=np.int64)
         for _ in range(steps):
-            w0, w1 = ref_pops @ f0, ref_pops @ f1
+            w0, w1 = pops @ f0, pops @ f1
             total = w0 + w1 + params.rest
             p0, p1 = w0 / total, w1 / total
-            r = rng.random(300)
-            take0 = r < p0
-            take1 = (~take0) & (r < p0 + p1)
-            ref[take0, 0] += 1
-            ref[take1, 1] += 1
-            ref_pops[take0] *= f0
-            ref_pops[take1] *= f1
-            ref_pops /= ref_pops.sum(axis=1, keepdims=True)
-        np.testing.assert_array_equal(got, ref)
-    np.testing.assert_array_equal(final, ref_pops)
+            r = rng.random(trials)
+            k = np.where(r < p0, 0, np.where(r < p0 + p1, 1, 2))
+            counts[:, 0] += k == 0
+            counts[:, 1] += k == 1
+            pops *= factors[k]
+            pops /= pops.sum(axis=1, keepdims=True)
+        seg_counts.append(counts)
+    return seg_counts
+
+
+def _multinomial_pmf(steps, law):
+    """P(N_0, N_1) of Multinomial(steps, law) as a (steps+1, steps+1) table."""
+    pmf = np.zeros((steps + 1, steps + 1))
+    for n0 in range(steps + 1):
+        for n1 in range(steps + 1 - n0):
+            rest = steps - n0 - n1
+            ways = math.factorial(steps) // (math.factorial(n0) * math.factorial(n1) * math.factorial(rest))
+            pmf[n0, n1] = ways * law[0] ** n0 * law[1] ** n1 * law[2] ** rest
+    return pmf
+
+
+def _mixture_law(params, eigenphases, populations, schedule, alpha):
+    """Exact joint law of the two segments' (N_0, N_1): sum_k p_k prod_seg Multinomial(steps, law_k)."""
+    (s1, b1), (s2, b2) = schedule
+    p = populations / populations.sum()
+    joint = 0.0
+    for k, phi in enumerate(eigenphases):
+        laws = []
+        for beta in (b1, b2):
+            f0, f1 = meas.filter_values(params, alpha, beta, phi)
+            law = np.clip([f0, f1, params.rest], 0.0, None)
+            laws.append(law / law.sum())
+        joint = joint + p[k] * np.multiply.outer(_multinomial_pmf(s1, laws[0]),
+                                                 _multinomial_pmf(s2, laws[1]))
+    return joint
+
+
+def _chi2_statistic(counts, schedule, joint):
+    """chi^2 of the sampled (N_0, N_1) records against the exact joint law; cells
+    with fewer than five expected draws are pooled into one, cells of zero
+    probability must stay empty.  Returns (chi2, dof)."""
+    (s1, _), (s2, _) = schedule
+    (a, b), trials = counts, len(counts[0])
+    cells = np.ravel_multi_index((a[:, 0], a[:, 1], b[:, 0], b[:, 1]), (s1 + 1, s1 + 1, s2 + 1, s2 + 1))
+    observed = np.bincount(cells, minlength=joint.size)
+    expected = trials * joint.ravel()
+    assert observed[expected == 0].sum() == 0
+    big, small = expected >= 5, (expected > 0) & (expected < 5)
+    obs, exp = observed[big], expected[big]
+    if small.any():
+        obs, exp = np.append(obs, observed[small].sum()), np.append(exp, expected[small].sum())
+    return float(np.sum((obs - exp) ** 2 / exp)), len(obs) - 1
+
+
+def _chi2_critical(dof, z=3.09):
+    """Upper 1e-3 point of chi^2 with dof degrees of freedom (Wilson-Hilferty)."""
+    h = 2.0 / (9 * dof)
+    return dof * (1 - h + z * np.sqrt(h)) ** 3
+
+
+@pytest.mark.parametrize("case", ["perturbed_rest", "unnormalized"])
+@pytest.mark.parametrize("sampler", [meas.filter_trajectories, _per_step_filter_loop],
+                         ids=["mixture", "per_step_loop"])
+def test_filter_sampler_exact_law(perturbed_nu, case, sampler):
+    # the mixture sampler and the per-step Bayesian loop draw the same law:
+    # k once from the populations, then each segment Multinomial(steps, law_k)
+    if case == "perturbed_rest":
+        params = meas.PairFilter.from_nu(perturbed_nu, (0, 2))
+        assert params.rest > 0
+        phis, pops, alpha = np.array([0.0, 2.0, np.pi]), np.array([0.5, 0.2, 0.3]), 0.7
+    else:
+        params = meas.PairFilter(1.0, 1.0, 0.9)
+        phis, pops, alpha = np.angle(np.exp(1j * np.pi * np.arange(8) / 4)), np.full(8, 1 / 8), 0.5
+    schedule = [(8, 0.0), (6, np.pi / 2)]
+    trials = 100_000
+    counts = sampler(params, phis, pops, schedule, trials, alpha, np.random.default_rng(31))
+    chi2, dof = _chi2_statistic(counts, schedule, _mixture_law(params, phis, pops, schedule, alpha))
+    assert chi2 <= _chi2_critical(dof), (chi2, dof)
+
+
+def test_filter_trajectories_eigenstate_and_empty_segment():
+    # at alpha = pi/4 the filter of PairFilter(0.5, 0.5, 0.5) gives phi = 0 only
+    # outcome 0 and phi = pi only outcome 1, so a record shows which k was drawn
+    params = meas.PairFilter(0.5, 0.5, 0.5)
+    for j in range(3):
+        phis = np.where(np.arange(3) == j, 0.0, np.pi)
+        pops = (np.arange(3) == j).astype(float)
+        empty, full = meas.filter_trajectories(params, phis, pops, [(0, 0.0), (7, 0.0)], 2000,
+                                               np.pi / 4, np.random.default_rng(j))
+        np.testing.assert_array_equal(empty, np.zeros((2000, 2)))
+        np.testing.assert_array_equal(full, np.tile([7, 0], (2000, 1)))
 
 
 @pytest.mark.parametrize("pops", [[0.0, 0.0, 0.0], [np.nan, 0.5, 0.5], [np.inf, 0.0, 1.0]])
@@ -207,6 +285,12 @@ def test_filter_trajectories_rejects_vanishing_populations(perturbed_nu, pops):
     with pytest.raises(VanishingProbability):
         meas.filter_trajectories(params, np.array([0.0, 2.0, np.pi]), np.array(pops),
                                  [(3, 0.0)], 4, 0.7, np.random.default_rng(0))
+
+
+def test_filter_trajectories_rejects_weightless_filter():
+    with pytest.raises(VanishingProbability):
+        meas.filter_trajectories(meas.PairFilter(0.0, 0.0, 0.0), np.array([0.0, 1.0]),
+                                 np.array([0.5, 0.5]), [(3, 0.0)], 4, 0.7, np.random.default_rng(0))
 
 
 def test_weak_measure_step_rejects_vanishing_probability(perturbed, perturbed_fix, perturbed_an):
@@ -328,7 +412,7 @@ def test_estimator_std_scaling():
     rng = np.random.default_rng(6)
     trials = 2000
     for n_m in (100, 400, 1600, 6400):
-        seg, _ = meas.filter_trajectories(params, phis, pops, [(n_m, 0.0)], trials, np.pi / 4, rng)
+        seg = meas.filter_trajectories(params, phis, pops, [(n_m, 0.0)], trials, np.pi / 4, rng)
         ests = np.array([meas.mcos_estimate(params, np.pi / 4, *seg[0][t]) for t in range(trials)])
         sd = np.std(ests)
         formula = (params.nu_ii + params.nu_jj) / (4 * abs(params.nu_ji) * np.sqrt(n_m))
@@ -436,6 +520,52 @@ def test_fit_flip_curve_recovers_noise_free(a, psi):
     off = (psi_hat - psi) % np.pi
     assert min(off, np.pi - off) < 1e-10
     assert jac.shape == (4, 2)
+
+
+def _sequential_flip_fit(betas, flips, a0):
+    """fit_flip_curve as one damped Gauss-Newton loop per start, run one start after another."""
+    def residuals(x):
+        a, psi = x
+        s, c = np.sin(betas + psi), np.cos(betas + psi)
+        slope = np.sin(2 * a * s)
+        return np.sin(a * s) ** 2 - flips, np.column_stack([slope * s, slope * a * c])
+
+    def levenberg(x):
+        r, jac = residuals(x)
+        cost, lam = 0.5 * float(r @ r), 1e-3
+        for _ in range(200):
+            step = np.linalg.solve(jac.T @ jac + lam * np.eye(2), -jac.T @ r)
+            r_new, jac_new = residuals(x + step)
+            cost_new = 0.5 * float(r_new @ r_new)
+            if cost_new < cost:
+                x, r, jac, cost, lam = x + step, r_new, jac_new, cost_new, max(lam * 0.1, 1e-12)
+                if np.linalg.norm(step) <= 1e-15 * (1.0 + np.linalg.norm(x)):
+                    break
+            else:
+                lam *= 10.0
+                if lam > 1e16:
+                    break
+        return x, cost, jac
+
+    (a, psi), _, jac = min((levenberg(np.array([k * a0, psi0]))
+                            for k in (1, 2, 3) for psi0 in np.linspace(-np.pi, np.pi, 9)),
+                           key=lambda fit: fit[1])
+    return abs(a), psi % np.pi, jac
+
+
+def test_fit_flip_curve_matches_sequential_fits():
+    # all 27 starts iterate as one array; each keeps the damping and stop rule
+    # of its own sequential run, so the winning fit is the same
+    betas = np.array([0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4])
+    rng = np.random.default_rng(17)
+    for a, psi in [(1.2, 0.3), (0.45, 2.2), (1.4, 0.3), (2.4, -1.1), (3.0, 1.4), (0.05, -0.7)]:
+        clean = np.sin(a * np.sin(betas + psi)) ** 2
+        for flips in (clean, rng.binomial(2500, clean) / 2500):
+            got = meas.fit_flip_curve(betas, flips, 1.2)
+            ref = _sequential_flip_fit(betas, flips, 1.2)
+            assert abs(got[0] - ref[0]) <= 1e-12
+            assert abs(got[1] - ref[1]) <= 1e-12
+            np.testing.assert_allclose(got[2], ref[2], rtol=0, atol=1e-12)
 
 
 def test_tuned_measurement_matches_eigenphase(perturbed, perturbed_an):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -47,6 +48,14 @@ def test_not_injective_for_degenerate_junk(cluster2):
     point = model.PhasePoint(d=4, D=2, Dj=1, C=cluster2.C, B=B, label="broken")
     with pytest.raises(NotInjective):
         model.check_injectivity(point, 2)
+
+
+def test_phase_point_compares_by_identity(perturbed):
+    # array fields make field-wise == ambiguous: a point equals only itself
+    other = dataclasses.replace(perturbed, label="x")
+    assert perturbed == perturbed
+    assert perturbed != other
+    assert len({perturbed, perturbed, other}) == 2
 
 
 def test_perturb_deterministic(cluster2):
