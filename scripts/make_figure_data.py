@@ -41,7 +41,8 @@ def estimate_scatter(out: Path, seed: int) -> None:
         seg = meas.filter_trajectories(params, phis, pops, [(n_m, 0.0)], trials, alpha, rng)
         ests = meas.mcos_estimate(params, alpha, seg[0][:, 0], seg[0][:, 1])
         for t, est in enumerate(ests.tolist()):
-            lines.append(f"{n_m},{t},{est!r},{str(abs(est) <= 1).lower()}")
+            in_range = abs(est) <= 1 + meas.OUT_OF_RANGE_SLACK  # the CLI's out-of-range rule
+            lines.append(f"{n_m},{t},{est!r},{str(in_range).lower()}")
     (out / "estimate_scatter.csv").write_text("\n".join(lines) + "\n")
 
 

@@ -362,7 +362,7 @@ def build_parser() -> _Parser:
     p.add_argument("--D", type=int, default=2, help="cluster dimension when no base model is given")
     p.add_argument("--strength", type=finite_float, required=True)
     p.add_argument("--junk-dim", dest="junk_dim", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int_at_least(0), required=True)
     p.add_argument("--out", default=".")
     p.add_argument("--name", default="model_perturbed.json")
     p.set_defaults(func=cmd_model_perturb)
@@ -379,7 +379,7 @@ def build_parser() -> _Parser:
         sp.add_argument("--model", required=True)
         sp.add_argument("--out", default=".")
         if seed:
-            sp.add_argument("--seed", type=int, default=0)
+            sp.add_argument("--seed", type=int_at_least(0), default=0)
 
     w = rsub.add_parser("wire", help="factorization residual vs wire length")
     common(w)

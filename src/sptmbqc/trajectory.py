@@ -11,15 +11,25 @@ the accumulated byproduct.  That weight depends on the byproduct only through
 its Z_D x Z_D label, which is what the traced-runway sampler carries.
 
 All trials of one configuration are sampled in a single pass over the sites,
-each from its own random stream.
+each from its own random stream.  The transfer map is gapped, so the future
+weight settles within a few correlation lengths of the right end: the backward
+recursion stops there and every site further left shares the settled array.
+Each distinct (site, weight) pair gets one outcome table, laid out so that a
+site's outcome weights are vec(tau) @ table[code], where code is the trial's
+Z_D x Z_D label (always 0 for the physical boundary).  Tables of the settled
+weight are built once and shared; the table of a weight only one site sees is
+built at that site and dropped.  Every record keeps the log of its drawn
+string's probability.
 """
 
 from __future__ import annotations
 
+import collections
 import enum
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +43,8 @@ from .channel import (
 )
 from .errors import DegenerateLeadingEigenvalue, ValidationError
 from .model import PhasePoint, encode_matrix
+
+SETTLE_TOL = 1e-13  # relative step below which the backward weight recursion has settled
 
 
 class Procedure(enum.Enum):
@@ -80,6 +92,7 @@ class TrajectoryRecord:
     procedure: Procedure
     boundary: BoundaryMode
     final_state: VirtualState
+    log_prob: float | None        # log of the drawn string's probability, None when erased
     measure_counts: list[tuple[tuple[int, int], tuple[int, int]]] = field(default_factory=list)
 
 
@@ -91,6 +104,11 @@ class _Site:
     segment: int | None = None
     half: int | None = None       # 0: beta=0 block, 1: beta=pi/2 block
     pair: tuple[int, int] | None = None
+
+    @cached_property
+    def dag(self) -> np.ndarray:
+        """ops^dag, computed once per distinct site."""
+        return self.ops.conj().swapaxes(-1, -2)
 
 
 def _wire_ops(point: PhasePoint) -> np.ndarray:
@@ -165,8 +183,25 @@ def runway_weight(fbar: Channel, right_boundary, n: int) -> np.ndarray:
     return w
 
 
+def future_weights(fbar: Channel, base: np.ndarray, n: int) -> list[np.ndarray]:
+    """w_t = Fbar^(n-t)(base) for t = 0..n, the weight of the chain right of site t.
+
+    The backward recursion stops once a step moves the weight by at most
+    SETTLE_TOL of its largest entry; every site further left shares that
+    array.  A weight that never settles is recursed over the whole chain.
+    """
+    weights = [base] * (n + 1)
+    for t in range(n - 1, -1, -1):
+        w = fbar.apply(weights[t + 1])
+        if np.max(np.abs(w - weights[t + 1])) <= SETTLE_TOL * np.max(np.abs(weights[t + 1])):
+            weights[:t + 1] = [w] * (t + 1)
+            break
+        weights[t] = w
+    return weights
+
+
 class TrajectoryEngine:
-    """Precomputed site plan, future weights, and interpretation data for one config."""
+    """Precomputed site plan, future weights, and outcome tables for one config."""
 
     def __init__(self, config: RunConfig):
         self.config = config
@@ -174,51 +209,54 @@ class TrajectoryEngine:
         self.point = point
         self.sites, self.segments = expand_sites(config.analysis, config.program)
         self.left = _left_density(point, config.left_boundary)
-        fbar = config.analysis.fbar
-        if config.boundary is BoundaryMode.PHI_TILDE:
+        self.tilde = config.boundary is BoundaryMode.PHI_TILDE
+        if self.tilde:
             base = np.eye(point.Db, dtype=complex)
+            # the weight has an identity logical factor, so the byproduct drops
+            # out: one label code, seen through the identity
+            self._next = np.zeros((1, point.d), dtype=int)
+            self._frames = np.eye(point.Db, dtype=complex)[None]
         else:
             if config.right_boundary is None:
                 raise ValidationError("PHI_RUNWAY mode needs a right boundary vector")
-            base = runway_weight(fbar, config.right_boundary, config.runway_n)
-        n = len(self.sites)
-        self.weights: list[np.ndarray] = [None] * (n + 1)
-        self.weights[n] = base
-        for t in range(n - 1, -1, -1):
-            self.weights[t] = fbar.apply(self.weights[t + 1])
-        self.tilde = config.boundary is BoundaryMode.PHI_TILDE
-        self.byproducts = np.stack(point.C)
-        if self.tilde:
-            # per-site outcome matrices N_s with p(s) = Tr(tau N_s): the weight
-            # has an identity logical factor, so the byproduct drops out
-            self.prob_mats = []
-            for t, site in enumerate(self.sites):
-                w = self.weights[t + 1]
-                self.prob_mats.append(np.stack([op.conj().T @ w @ op for op in site.ops]))
-        else:
+            base = runway_weight(config.analysis.fbar, config.right_boundary, config.runway_n)
             # the byproduct is a Weyl element V(g) up to a phase, which cancels
-            # in the weight conjugation; trials are tracked by the label g
-            self.labels = np.array(config.analysis.labels)      # (d, 2)
-            self.weyl_j = config.analysis.weyl                  # (D, D, Db, Db)
+            # in the weight conjugation; trials are tracked by the code aD + b
+            # of g = (a, b), and _next[c, k] is the code after outcome k
+            D = point.D
+            a, b = np.divmod(np.arange(D * D), D)
+            labels = np.array(config.analysis.labels)                      # (d, 2)
+            self._next = (a[:, None] + labels[:, 0]) % D * D + (b[:, None] + labels[:, 1]) % D
+            self._frames = config.analysis.weyl.reshape(D * D, point.Db, point.Db)
+        self.weights = future_weights(config.analysis.fbar, base, len(self.sites))
+        # tables shared by several sites are built here; the table of a weight
+        # only one site sees (right of the settle point) is built and dropped
+        # at that site, so memory does not grow with the unsettled stretch
+        # (a PHI_RUNWAY table is D^2 times a PHI_TILDE one)
+        keys = [(id(site), id(w)) for site, w in zip(self.sites, self.weights[1:])]
+        uses = collections.Counter(keys)
+        built = {}
+        self.tables = []
+        for t, key in enumerate(keys):
+            if uses[key] > 1 and key not in built:
+                built[key] = self._outcome_table(self.sites[t], self.weights[t + 1])
+            self.tables.append(built.get(key))
+        self.byproducts = np.stack(point.C)
         if self.segments:
             # the boundary outcome is the eigenphase the final measurement reads
             final = self.segments[-1]
             obs = config.analysis.pair(final.pair)
             self._interp = (obs.filter, final.alpha, obs.eigenphases)
 
-    def _runway_probs(self, t: int, site: _Site, tau: np.ndarray, label: np.ndarray) -> np.ndarray:
-        """Outcome weights at site t, one group of trials per byproduct label."""
-        D = self.point.D
-        w = self.weights[t + 1]
-        code = label[:, 0] * D + label[:, 1]
-        probs = np.empty((len(tau), len(site.ops)))
-        for c in np.unique(code):
-            rows = np.nonzero(code == c)[0]
-            g = (label[rows[0]] + self.labels) % D                 # label after each outcome
-            m = self.weyl_j[g[:, 0], g[:, 1]] @ site.ops           # (n_out, Db, Db)
-            n_mats = m.conj().transpose(0, 2, 1) @ w @ m
-            probs[rows] = np.einsum("kab,tba->tk", n_mats, tau[rows]).real
-        return probs
+    def _outcome_table(self, site: _Site, w: np.ndarray) -> np.ndarray:
+        """Outcome weights of one site, probs = vec(tau) @ table[code], shape (codes, Db^2, n_out).
+
+        A trial with label code c that draws outcome k sees the future weight
+        w through the frame V(g) of its new label code _next[c, k].
+        """
+        seen = self._frames.conj().swapaxes(-1, -2) @ w @ self._frames   # (codes, Db, Db)
+        n_mats = site.dag @ seen[self._next] @ site.ops                   # (codes, n_out, Db, Db)
+        return n_mats.transpose(0, 3, 2, 1).reshape(len(self._next), -1, len(site.ops))
 
     def sample(self, rngs) -> list[TrajectoryRecord]:
         """One record per generator; trial t draws its sites from rngs[t] alone.
@@ -231,23 +269,31 @@ class TrajectoryEngine:
         draws = np.array([rng.random(n) for rng in rngs]).reshape(T, n)
         tau = np.broadcast_to(self.left, (T,) + self.left.shape).copy()
         byprod = np.broadcast_to(np.eye(point.D, dtype=complex), (T, point.D, point.D)).copy()
-        label = np.zeros((T, 2), dtype=int)
+        code = np.zeros(T, dtype=int)
         outcomes = np.empty((T, n), dtype=int)
+        chosen, totals = np.empty((T, n)), np.empty((T, n))
         seg_counts = np.zeros((T, len(self.segments), 2, 2), dtype=int)
+        rows = np.arange(T)
 
         for t, site in enumerate(self.sites):
+            table = self.tables[t]
+            if table is None:
+                table = self._outcome_table(site, self.weights[t + 1])
+            vec = tau.reshape(T, -1)
             if self.tilde:
-                probs = np.einsum("kab,tba->tk", self.prob_mats[t], tau).real
+                probs = (vec @ table[0]).real
             else:
-                probs = self._runway_probs(t, site, tau, label)
+                probs = (vec[:, None] @ table[code])[:, 0].real
+            probs = np.clip(probs, 0.0, None)
             s = measurement.draw_outcomes(probs, draws[:, t])
-            op = site.ops[s]
-            tau = op @ tau @ op.conj().transpose(0, 2, 1)
+            chosen[:, t] = probs[rows, s]
+            totals[:, t] = probs.sum(axis=1)
+            tau = site.ops[s] @ tau @ site.dag[s]
             tau = tau / np.trace(tau, axis1=1, axis2=2).real[:, None, None]
             c = self.byproducts[s]
             byprod = (byprod @ c) if site.adapted else (c @ byprod)
             if not self.tilde:
-                label = (label + self.labels[s]) % point.D
+                code = self._next[code, s]
             outcomes[:, t] = s
             if site.kind == "measure":
                 for k in (0, 1):
@@ -261,6 +307,7 @@ class TrajectoryEngine:
                                                    phis)["matched_index"]
             boundary = [float(x) for x in phis[matched]]
 
+        log_prob = (np.log(chosen) - np.log(totals)).sum(axis=1)
         erase = config.procedure is Procedure.PROCEDURE_III
         ident_j = np.eye(point.Dj)
         records = []
@@ -273,6 +320,7 @@ class TrajectoryEngine:
                 outcomes=None if erase else tuple(outcomes[i].tolist()),
                 outcome_counts=np.bincount(outcomes[i], minlength=point.d),
                 byproduct=None if erase else byprod[i],
+                log_prob=None if erase else float(log_prob[i]),
                 boundary_outcome=boundary[i],
                 procedure=config.procedure,
                 boundary=config.boundary,

@@ -133,6 +133,23 @@ def test_out_of_range_count_flag_exit_code(tmp_path, model_file, argv, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "wire", "--model", "{model}"],
+    ["run", "gate", "--model", "{model}"],
+    ["run", "measure", "--model", "{model}"],
+    ["run", "nu", "--model", "{model}"],
+    ["run", "born", "--model", "{model}"],
+    ["run", "boundary", "--model", "{model}"],
+    ["run", "conform", "--model", "{model}"],
+    ["model", "perturb", "--strength", "0.3", "--junk-dim", "2"],
+])
+def test_negative_seed_exit_code(tmp_path, model_file, argv, capsys):
+    argv = [a.format(model=model_file) for a in argv]
+    assert run(argv + ["--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+    assert "not an integer >= 0" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_list_flag_defaults_survive_earlier_calls(tmp_path, model_file):
     # one parser serves every call in a process: explicit list flags must not
     # leak into the defaults of a later call

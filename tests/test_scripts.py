@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 
+from sptmbqc import measurement as meas
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -34,11 +36,13 @@ def test_make_figure_data(tmp_path, monkeypatch):
     assert header == ["n_m", "trial", "cos_estimate", "in_range"]
     assert len(rows) == 7 * 100
     ests = np.array([float(r[2]) for r in rows])
-    assert [r[3] for r in rows] == [str(abs(e) <= 1).lower() for e in ests]
+    lim = 1 + meas.OUT_OF_RANGE_SLACK
+    assert [r[3] for r in rows] == [str(abs(e) <= lim).lower() for e in ests]
     # at n_m = 1600 the estimates lie within about 0.03 of the true cosines
-    # cos(pi k / 4); those at cos = +-1 overshoot half the time, so the fraction
-    # with in_range true stays near 7/8
-    last = ests[[r[0] == "1600" for r in rows]]
+    # cos(pi k / 4), so those at cos = +-1 overshoot by less than the slack
+    at_1600 = [r[0] == "1600" for r in rows]
+    assert np.mean([r[3] == "true" for r, keep in zip(rows, at_1600) if keep]) >= 0.95
+    last = ests[at_1600]
     true_cos = np.cos(np.pi * np.arange(8) / 4)
     dist = np.min(np.abs(last[:, None] - true_cos[None, :]), axis=1)
     assert np.mean(dist <= 0.1) >= 0.9

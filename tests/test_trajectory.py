@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from sptmbqc import channel, gates, measurement as meas, model, trajectory as traj
-from sptmbqc.errors import ValidationError, VanishingProbability
+from sptmbqc import channel, gates, measurement as meas, model, oracle, trajectory as traj
+from sptmbqc.errors import NumericalFailure, ValidationError, VanishingProbability
 from conftest import random_density, random_state
 
 
@@ -440,3 +442,76 @@ def test_run_config_rejects_degenerate_boundary(field, value, perturbed_an):
     with pytest.raises(ValidationError):
         traj.boundary_equivalence(perturbed_an, pinned_measure_program(), runway_n=2,
                                   trials=2, **{field: value})
+
+
+def _reverse_weight(point, w, n):
+    # test-local Fbar^n(w) = sum_s A_s^dag (...) A_s from the site tensors
+    tensors = point.site_tensors()
+    for _ in range(n):
+        w = (tensors.conj().swapaxes(-1, -2) @ w @ tensors).sum(axis=0)
+    return w
+
+
+@given(data=st.data(), D=st.sampled_from([2, 3]), junk_dim=st.integers(1, 4),
+       strength=st.floats(0.1, 0.6), seed=st.integers(0, 2 ** 16),
+       mode=st.sampled_from(list(traj.BoundaryMode)), runway_n=st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_record_probability_matches_oracle(data, D, junk_dim, strength, seed, mode, runway_n):
+    # exp(log_prob) of every sampled wire record is the dense oracle's
+    # probability of its outcome string, in both boundary modes
+    n = data.draw(st.integers(0, 6 if D == 2 else 4), label="n")
+    try:
+        point = model.perturb_point(model.build_cluster_point(D), strength, junk_dim, seed)
+        analysis = channel.analyze(point)
+        analysis.labels
+    except NumericalFailure:
+        assume(False)
+    rng = np.random.default_rng(seed)
+    L, R = random_state(point.Db, rng), random_state(point.Db, rng)
+    cfg = traj.RunConfig(analysis=analysis, program=wire_program(n), boundary=mode,
+                         runway_n=runway_n, left_boundary=L, right_boundary=R)
+    records = sample_batch(cfg, (seed, 9), 12)
+    if mode is traj.BoundaryMode.PHI_TILDE:
+        weight = np.eye(point.Db, dtype=complex)
+    else:
+        weight = _reverse_weight(point, np.outer(R, R.conj()), runway_n)
+    q = oracle.runway_marginal(point, n, L, weight)
+    for rec in records:
+        flat = int(np.ravel_multi_index(rec.outcomes, (point.d,) * n)) if n else 0
+        np.testing.assert_allclose(np.exp(rec.log_prob), q[flat], rtol=1e-10, atol=0)
+        np.testing.assert_allclose(rec.byproduct, traj.byproduct_from_outcomes(point, rec.outcomes),
+                                   rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", list(traj.BoundaryMode))
+@pytest.mark.parametrize("which", ["perturbed", "perturbed3"])
+def test_long_wire_settled_weights(request, which, mode):
+    # along a long wire the future weight settles: the engine shares one array
+    # for every site left of that point, within 1e-11 of the full recursion
+    point = request.getfixturevalue(which)
+    n = 800  # perturbed3 (xi = 12.3) settles only about 330 sites from the right end
+    rng = np.random.default_rng(41)
+    L, R = random_state(point.Db, rng), random_state(point.Db, rng)
+    cfg = traj.RunConfig(analysis=channel.analyze(point), program=wire_program(n), boundary=mode,
+                         runway_n=2, left_boundary=L, right_boundary=R)
+    engine = traj.TrajectoryEngine(cfg)
+    tensors = point.site_tensors()
+    full = [np.eye(point.Db, dtype=complex) if engine.tilde
+            else _reverse_weight(point, np.outer(R, R.conj()), 2)]
+    for _ in range(n):
+        full.append(_reverse_weight(point, full[-1], 1))
+    full = full[::-1]
+    for got, want in zip(engine.weights, full):
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+    assert len({id(w) for w in engine.weights}) < n / 2
+    # only the settled weight's table is kept: the others are built at their site
+    assert len({id(tab) for tab in engine.tables if tab is not None}) == 1
+
+    for rec in engine.sample([np.random.default_rng((42, t)) for t in range(3)]):
+        v, logp = L, 0.0
+        for t, s in enumerate(rec.outcomes):
+            probs = np.array([(u.conj() @ full[t + 1] @ u).real for u in tensors @ v])
+            logp += np.log(probs[s] / probs.sum())
+            v = tensors[s] @ v
+            v = v / np.linalg.norm(v)
+        assert abs(rec.log_prob - logp) <= 1e-10
