@@ -517,21 +517,23 @@ def residual_curve(state: VirtualState, analysis: Analysis, n: int) -> np.ndarra
     """factorization_check(oblivious_wire(state, analysis, k)).residual for k = 0..n.
 
     The wire multiplies the logical/junk block matrix by L^T from the right and
-    the residual does not depend on scale, so each chunk of RESIDUAL_CHUNK
-    lengths is one stacked product with the powers of L^T and one batched SVD.
+    the residual does not depend on scale.  Each chunk of RESIDUAL_CHUNK
+    lengths stacks its block matrices by doubling (the stack so far, times L^T
+    to the power of its length) and takes one batched SVD.
     """
-    step = analysis.junk_power(1).T
-    powers = np.eye(step.shape[0], dtype=complex)[None]
-    while len(powers) < min(RESIDUAL_CHUNK, n + 1):
-        powers = np.concatenate([powers, powers @ (powers[-1] @ step)])
-    powers = powers[:n + 1]
-    jump = powers[-1] @ step
+    squares = [analysis.junk_power(1).T]  # (L^T)^(2^j)
     blocks = logical_junk_blocks(state.rho, state.D, state.Dj)
     out = np.empty(n + 1)
-    for start in range(0, n + 1, len(powers)):
-        stack = blocks @ powers[:n + 1 - start]
-        out[start:start + len(stack)] = schmidt_residual(np.linalg.svd(stack, compute_uv=False))
-        blocks = blocks @ jump
+    for start in range(0, n + 1, RESIDUAL_CHUNK):
+        size = min(RESIDUAL_CHUNK, n + 1 - start)
+        stack = blocks[None]
+        while len(stack) < size:
+            j = len(stack).bit_length() - 1
+            if j == len(squares):
+                squares.append(squares[-1] @ squares[-1])
+            stack = np.concatenate([stack, stack[:size - len(stack)] @ squares[j]])
+        out[start:start + size] = schmidt_residual(np.linalg.svd(stack, compute_uv=False))
+        blocks = stack[-1] @ squares[0]
         blocks = blocks / np.linalg.norm(blocks)  # keeps long wires clear of overflow and underflow
     return out
 

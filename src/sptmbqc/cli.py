@@ -79,13 +79,35 @@ def _model_hash(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+# The last model a run command read: (sha256 of its bytes, its Analysis).  A
+# process that runs several commands on one model, such as a phase scan, then
+# checks and analyzes it once; a file whose bytes change is read again.
+_last_model: tuple[str, channel.Analysis] | None = None
+
+
+def _model_analysis(path: str) -> tuple[channel.Analysis, str]:
+    """The checked model at `path` (as `Analysis.point`) with its analysis, and its sha256.
+
+    The file is read and hashed on every call; it is loaded, validated and
+    analyzed only when the hash differs from the last model's.  A load that
+    fails leaves no model kept.
+    """
+    global _last_model
+    path = Path(path)
+    digest = _model_hash(path)
+    if _last_model is None or _last_model[0] != digest:
+        _last_model = None
+        _last_model = (digest, channel.analyze(model.load_model(path)))
+    return _last_model[1], digest
+
+
 class RunDir:
     """Output directory with a manifest; collects the files each command emits."""
 
-    def __init__(self, out: str, command: str, params: dict, seed, model_path: Path | None):
+    def __init__(self, out: str, command: str, params: dict, seed, model_hash: str | None):
         self.dir = Path(out)
         self.dir.mkdir(parents=True, exist_ok=True)
-        self.model_hash = _model_hash(model_path) if model_path else None
+        self.model_hash = model_hash
         self.manifest = {
             "tool": "sptmbqc",
             "version": __version__,
@@ -129,7 +151,7 @@ def cmd_model_build(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     path = out / args.name
     model.save_model(point, path)
-    rd = RunDir(args.out, "model build", _params(args), None, path)
+    rd = RunDir(args.out, "model build", _params(args), None, _model_hash(path))
     rd.json("validation.json", {"label": point.label, "problems": [],
                                 "injectivity_K": model.check_injectivity(point)})
     rd.finish()
@@ -144,7 +166,7 @@ def cmd_model_perturb(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     path = out / args.name
     model.save_model(point, path)
-    rd = RunDir(args.out, "model perturb", _params(args), args.seed, path)
+    rd = RunDir(args.out, "model perturb", _params(args), args.seed, _model_hash(path))
     rd.json("validation.json", {"label": point.label, "problems": [],
                                 "injectivity_K": point.injectivity_K})
     rd.finish()
@@ -167,12 +189,12 @@ def cmd_model_validate(args) -> int:
 # run subcommands
 
 def cmd_run_wire(args) -> int:
-    point = model.load_model(Path(args.model))
-    analysis = channel.analyze(point)
+    analysis, digest = _model_analysis(args.model)
+    point = analysis.point
     rng = np.random.default_rng(args.seed)
     L = channel.random_unit_vector(rng, point.Db)
     state = channel.VirtualState.from_boundary_vector(L, point.D, point.Dj)
-    rd = RunDir(args.out, "run wire", _params(args), args.seed, Path(args.model))
+    rd = RunDir(args.out, "run wire", _params(args), args.seed, digest)
     rd.csv("wire_residual.csv", ["n_sites", "schmidt_residual"],
            enumerate(channel.residual_curve(state, analysis, args.n)))
     if args.trajectories > 0:
@@ -188,10 +210,10 @@ def cmd_run_wire(args) -> int:
 
 
 def cmd_run_gate(args) -> int:
-    analysis = channel.analyze(model.load_model(Path(args.model)))
+    analysis, digest = _model_analysis(args.model)
     analysis.nu  # fail on the nu invariants before any output is written
     pair = channel.check_pair(analysis.point.d, args.pair)
-    rd = RunDir(args.out, "run gate", _params(args), args.seed, Path(args.model))
+    rd = RunDir(args.out, "run gate", _params(args), args.seed, digest)
     rows = []
     for n in args.n_steps:
         fr = gates.finite_rotation(analysis, pair, args.alpha, args.beta, n)
@@ -206,7 +228,7 @@ def cmd_run_gate(args) -> int:
 
 
 def cmd_run_measure(args) -> int:
-    analysis = channel.analyze(model.load_model(Path(args.model)))
+    analysis, digest = _model_analysis(args.model)
     analysis.nu  # fail on the nu invariants before the pair is checked
     pair = analysis.pair(args.pair)
     params, phis = pair.filter, pair.eigenphases
@@ -215,7 +237,7 @@ def cmd_run_measure(args) -> int:
     schedule = gates.MeasureStep(pair.index, args.alpha, args.nm).schedule
     seg_counts = measurement.filter_trajectories(
         params, phis, pops, schedule, args.trials, args.alpha, rng)
-    rd = RunDir(args.out, "run measure", _params(args), args.seed, Path(args.model))
+    rd = RunDir(args.out, "run measure", _params(args), args.seed, digest)
     interp = measurement.interpret_counts(params, args.alpha, seg_counts[0], seg_counts[1], phis)
     rows = [(t, args.nm, *seg_counts[0][t], *seg_counts[1][t],
              interp["cos_estimate"][t], interp["sin_estimate"][t], interp["phi_hat"][t],
@@ -238,8 +260,8 @@ def cmd_run_measure(args) -> int:
 
 
 def cmd_run_nu(args) -> int:
-    analysis = channel.analyze(model.load_model(Path(args.model)))
-    rd = RunDir(args.out, "run nu", _params(args), args.seed, Path(args.model))
+    analysis, digest = _model_analysis(args.model)
+    rd = RunDir(args.out, "run nu", _params(args), args.seed, digest)
     rd.json("nu_exact.json", channel.nu_export(analysis))
     if not args.exact_only:
         rng = np.random.default_rng(args.seed)
@@ -251,16 +273,19 @@ def cmd_run_nu(args) -> int:
             "abs_nu10_estimate": est.abs_nu10,
             "abs_nu10_sigma": est.abs_nu10_sigma,
             "abs_nu10_truth": est.abs_nu10_truth,
-            "delta_mod_pi": est.delta_mod_pi,
+            "delta_estimate": est.delta,
+            "delta_sigma": est.delta_sigma,
+            "delta_truth": est.delta_truth,
+            "eigenphase_rad": est.eigenphase,
             "betas_rad": list(est.betas),
-            "flip_probabilities": list(est.flip_probabilities),
+            "pair_frequencies": est.pair_frequencies.tolist(),
         })
     rd.finish()
     return EXIT_OK
 
 
 def cmd_run_born(args) -> int:
-    analysis = channel.analyze(model.load_model(Path(args.model)))
+    analysis, digest = _model_analysis(args.model)
     analysis.nu  # fail on the nu invariants before the state is checked
     pair = analysis.pair(args.pair)
     try:
@@ -276,7 +301,7 @@ def cmd_run_born(args) -> int:
     sigma = sum(w * (p @ p) / np.trace(p @ p).real for w, p in zip(weights, pair.projectors))
     rng = np.random.default_rng(args.seed)
     rep = measurement.born_statistics(sigma, analysis, pair.index, args.trials, args.nm, rng)
-    rd = RunDir(args.out, "run born", _params(args), args.seed, Path(args.model))
+    rd = RunDir(args.out, "run born", _params(args), args.seed, digest)
     rd.csv("born.csv",
            ["eigenphase_rad", "frequency", "born_probability", "binomial_sigma"],
            [(p, f, b, s) for p, f, b, s in
@@ -286,8 +311,8 @@ def cmd_run_born(args) -> int:
 
 
 def cmd_run_boundary(args) -> int:
-    point = model.load_model(Path(args.model))
-    analysis = channel.analyze(point)
+    analysis, digest = _model_analysis(args.model)
+    point = analysis.point
     rng = np.random.default_rng(args.seed)
     sig_vec = channel.random_unit_vector(rng, point.D)
     left = np.kron(np.outer(sig_vec, sig_vec.conj()), analysis.fix.rho)
@@ -303,7 +328,7 @@ def cmd_run_boundary(args) -> int:
             for r in args.runways]
     rows = [(r, rep.tv_exact, rep.tv_sampled if rep.tv_sampled is not None else "")
             for r, rep in zip(args.runways, reps)]
-    rd = RunDir(args.out, "run boundary", _params(args), args.seed, Path(args.model))
+    rd = RunDir(args.out, "run boundary", _params(args), args.seed, digest)
     rd.csv("boundary_tv.csv", ["runway_sites", "tv_exact", "tv_sampled"], rows)
     rd.json("boundary_summary.json", {
         "runways": list(args.runways),
@@ -318,10 +343,11 @@ def cmd_run_boundary(args) -> int:
 
 
 def cmd_run_conform(args) -> int:
-    point = model.load_model(Path(args.model))
+    analysis, digest = _model_analysis(args.model)
     rng = np.random.default_rng(args.seed)
-    rep = oracle.conformance_suite(point, args.n, rng, samples=args.samples)
-    rd = RunDir(args.out, "run conform", _params(args), args.seed, Path(args.model))
+    # the suite builds its own Analysis of the point, so its cross-check stays independent
+    rep = oracle.conformance_suite(analysis.point, args.n, rng, samples=args.samples)
+    rd = RunDir(args.out, "run conform", _params(args), args.seed, digest)
     rd.json("conformance.json", {
         "deviations": rep.deviations,
         "max_deviation": rep.max_deviation,

@@ -417,31 +417,39 @@ class NuEstimate:
     diag_sigma: np.ndarray
     abs_nu10: float
     abs_nu10_sigma: float
-    delta_mod_pi: float
+    delta: float
+    delta_sigma: float
     diag_truth: np.ndarray
     abs_nu10_truth: float
+    delta_truth: float
+    eigenphase: float               # phi_0, the eigenphase of the tilted site's input
     betas: np.ndarray
-    flip_probabilities: np.ndarray
+    pair_frequencies: np.ndarray    # (len(betas), 2): outcome 0 and 1 frequencies per beta
 
 
 def estimate_nu(
     analysis: Analysis,
     samples: int,
     rng: np.random.Generator,
-    alpha_probe: float = 3.0,
-    n_probe: int = 40000,
     betas=(0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4),
 ) -> NuEstimate:
     """Self-test of the nu matrix from measurement statistics alone.
 
     Diagonals come from wire-basis outcome frequencies (each step is an
-    independent categorical draw with probabilities nu_kk).  |nu_10| and the
-    phase (mod pi) come from rotation-angle fits: rotations about the
-    pair-(0,1) axis at several beta values change the populations of the
-    complementary observable by sin^2(2 alpha |nu_10| sin(beta + delta)).
-    Born draws use the exact channel probabilities.
+    independent categorical draw with probabilities nu_kk).  nu_10 comes from
+    one tilted site of pair (0, 1) at alpha = pi/4 on the input
+    P_0 / Tr P_0 (x) rho_fix, where P_0 projects onto the eigenphase phi_0 of
+    C = C_0^-1 C_1.  There the filter functions give
+    p_0 - p_1 = 2 |nu_10| cos(phi_0 - delta - beta) = 2 Re(c e^{-i beta}) with
+    c = |nu_10| e^{i (phi_0 - delta)}: the diagonals cancel.  The outcome counts
+    at each beta are one multinomial draw from the exact probabilities of
+    `gates.outcome_states`, and c is the linear least-squares fit of the
+    observed p_0 - p_1 in (cos beta, sin beta); |nu_10| = |c| and
+    delta = phi_0 - arg c.  Their standard errors propagate each beta's
+    multinomial variance of p_0 - p_1 through the fit, to first order.
+    Raises ZeroOffDiagonal when the fit gives c = 0, where delta is undefined.
     """
-    point, nu_true = analysis.point, analysis.nu
+    nu_true = analysis.nu
     p_diag = np.clip(nu_true.nu.diagonal().real, 0, None)
     p_diag /= p_diag.sum()
     n_diag = max(samples // 2, 1)
@@ -449,116 +457,38 @@ def estimate_nu(
     diag_est = counts / n_diag
     diag_sigma = np.sqrt(np.clip(diag_est * (1 - diag_est), 0, None) / n_diag)
 
-    # complementary axis: an available Pauli direction that anticommutes with pair (0,1)
-    axes = gates.available_axes(analysis)
-    c_meas = gates.pair_operator(point, (0, 1))
-    probe_axis = None
-    for ax in axes.values():
-        cand = gates.pair_operator(point, ax.pair)
-        if np.linalg.norm(cand @ c_meas + c_meas @ cand) < 1e-8:
-            probe_axis = ax
-            break
-    if probe_axis is None:
-        raise ClosureTooSmall("no anticommuting probe axis available for the off-diagonal self-test"
-                              " (Pauli probe axes need a qubit logical space, D=2)")
-    projectors = analysis.pair(probe_axis.pair).projectors
-    ref = gates.principal_vector(projectors[0])
-    sigma_ref = np.outer(ref, ref.conj())
-
+    pair = analysis.pair((0, 1))
+    proj = pair.projectors[0]
+    x = np.kron(proj / np.trace(proj).real, analysis.fix.rho)
     betas = np.asarray(betas, dtype=float)
+    ops = np.concatenate([gates.step_virtual_ops(analysis.point, (0, 1), np.pi / 4, b) for b in betas])
+    probs = np.einsum("kii->k", gates.outcome_states(analysis, ops, x)).real
+    probs = np.clip(probs.reshape(len(betas), -1), 0, None)
     per_beta = max((samples - n_diag) // len(betas), 100)
-    flips = np.empty(len(betas))
-    for b_idx, beta in enumerate(betas):
-        fr = gates.finite_rotation(analysis, (0, 1), alpha_probe, beta, n_probe)
-        sigma_rot = fr.channel.apply(sigma_ref)
-        p_flip = float(np.clip(1.0 - np.trace(projectors[0] @ sigma_rot).real, 0, 1))
-        flips[b_idx] = rng.binomial(per_beta, p_flip) / per_beta
+    freqs = rng.multinomial(per_beta, probs / probs.sum(axis=1, keepdims=True))[:, :2] / per_beta
 
-    a_hat, delta_mod_pi, jac = fit_flip_curve(betas, flips, 2 * alpha_probe * 0.2)
-    abs_nu10 = a_hat / (2 * alpha_probe)
-    # rough 1-sigma from the fit jacobian and binomial noise
-    sig_p = np.sqrt(np.maximum(flips * (1 - flips), 1e-9) / per_beta)
-    try:
-        cov = np.linalg.inv(jac.T @ jac) * np.mean(sig_p ** 2)
-        a_sigma = float(np.sqrt(abs(cov[0, 0])))
-    except np.linalg.LinAlgError:
-        a_sigma = np.nan
+    m = freqs[:, 0] - freqs[:, 1]
+    var_m = (freqs.sum(axis=1) - m ** 2) / per_beta
+    fit = np.linalg.pinv(2 * np.column_stack([np.cos(betas), np.sin(betas)]))  # m -> (Re c, Im c)
+    c = fit @ m
+    cov = (fit * var_m) @ fit.T
+    abs_c = float(np.hypot(*c))
+    if abs_c == 0.0:
+        raise ZeroOffDiagonal("the fitted nu_10 is zero, so its phase delta is undefined")
+    grad_abs = c / abs_c
+    grad_arg = np.array([-c[1], c[0]]) / abs_c ** 2
+    phi = float(pair.eigenphases[0])
     return NuEstimate(
         diag=diag_est,
         diag_sigma=diag_sigma,
-        abs_nu10=float(abs_nu10),
-        abs_nu10_sigma=float(a_sigma / (2 * alpha_probe)),
-        delta_mod_pi=delta_mod_pi,
+        abs_nu10=abs_c,
+        abs_nu10_sigma=float(np.sqrt(grad_abs @ cov @ grad_abs)),
+        delta=float(wrap_angle(phi - np.arctan2(c[1], c[0]))),
+        delta_sigma=float(np.sqrt(grad_arg @ cov @ grad_arg)),
         diag_truth=nu_true.nu.diagonal().real.copy(),
         abs_nu10_truth=float(abs(nu_true.nu[1, 0])),
+        delta_truth=nu_true.delta,
+        eigenphase=phi,
         betas=betas,
-        flip_probabilities=flips,
+        pair_frequencies=freqs,
     )
-
-
-def _flip_residuals(x: np.ndarray, betas: np.ndarray, flips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals sin^2(a sin(beta + psi)) - flips (S, n) and their Jacobians (S, n, 2)
-    in (a, psi), for each row (a, psi) of x (S, 2)."""
-    a, psi = x[:, :1], x[:, 1:]
-    s, c = np.sin(betas + psi), np.cos(betas + psi)
-    slope = np.sin(2 * a * s)  # d sin^2(u) / du at u = a s
-    return np.sin(a * s) ** 2 - flips, np.stack([slope * s, slope * a * c], axis=-1)
-
-
-def fit_flip_curve(betas: np.ndarray, flips: np.ndarray, a0: float) -> tuple[float, float, np.ndarray]:
-    """Least-squares fit of flips ~ sin^2(a sin(beta + psi)).
-
-    Damped Gauss-Newton runs from (a, psi0) for each a of a0, 2 a0, 3 a0 and
-    each psi0 of a 9-point grid on [-pi, pi]; the lowest cost wins (the first
-    start on a tie).  Returns |a|, psi mod pi and the analytic Jacobian at the
-    solution.
-    """
-    starts = np.array([(k * a0, psi0) for k in (1, 2, 3) for psi0 in np.linspace(-np.pi, np.pi, 9)])
-    x, cost, jac = _levenberg(betas, flips, starts)
-    best = int(np.argmin(cost))
-    a, psi = x[best]
-    return float(abs(a)), float(psi % np.pi), jac[best]
-
-
-def _levenberg(betas: np.ndarray, flips: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Damped Gauss-Newton (Levenberg steps) from each start row of x (S, 2):
-    (solutions, costs, Jacobians).
-
-    All starts iterate together, each with its own damping.  A start stops
-    once a step is at the rounding level of its x, or once the damping needed
-    for a step that lowers its cost exceeds 1e16; stopped starts are left out
-    of later iterations.
-    """
-    x = np.array(x, dtype=float)
-    r, jac = _flip_residuals(x, betas, flips)
-    cost, lam = 0.5 * _row_dots(r), np.full(len(x), 1e-3)
-    live = np.arange(len(x))
-    for _ in range(200):
-        if not live.size:
-            break
-        jt = jac[live].transpose(0, 2, 1)
-        normal = jt @ jac[live] + lam[live, None, None] * np.eye(2)
-        step = np.linalg.solve(normal, -jt @ r[live, :, None])[:, :, 0]
-        x_new = x[live] + step
-        r_new, jac_new = _flip_residuals(x_new, betas, flips)
-        cost_new = 0.5 * _row_dots(r_new)
-        better = cost_new < cost[live]
-        won = live[better]
-        x[won], r[won], jac[won], cost[won] = x_new[better], r_new[better], jac_new[better], cost_new[better]
-        lam[won] = np.maximum(lam[won] * 0.1, 1e-12)
-        lam[live[~better]] *= 10.0
-        done = np.where(better,
-                        np.linalg.norm(step, axis=1) <= 1e-15 * (1.0 + np.linalg.norm(x_new, axis=1)),
-                        lam[live] > 1e16)
-        live = live[~done]
-    return x, cost, jac
-
-
-def _row_dots(r: np.ndarray) -> np.ndarray:
-    """r[s] @ r[s] for each row of r (S, n), as stacked 1 x n by n x 1 products.
-
-    These round as the 1-D dot product of one row does (a row sum or an einsum
-    does not), so each start's accept/reject decisions do not depend on how
-    many starts run beside it.
-    """
-    return (r[:, None, :] @ r[:, :, None])[:, 0, 0]

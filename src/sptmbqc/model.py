@@ -204,11 +204,12 @@ def check_injectivity(point: PhasePoint, k_max: int = K_MAX_DEFAULT, rtol: float
     """Smallest block length K <= k_max whose d^K blocked tensors span all bond operators."""
     Db = point.Db
     tensors = point.site_tensors()
-    blocks = [np.eye(Db, dtype=complex)]
+    blocks = np.eye(Db, dtype=complex)[None]
     for k in range(1, k_max + 1):
-        blocks = [a @ m for a in tensors for m in blocks]
-        mat = np.array([b.reshape(-1) for b in blocks])
-        svals = np.linalg.svd(mat, compute_uv=False)
+        blocks = (tensors[:, None] @ blocks).reshape(-1, Db, Db)  # A_a M for each a, then each M
+        if len(blocks) < Db * Db:
+            continue  # fewer blocks than bond operators cannot span them
+        svals = np.linalg.svd(blocks.reshape(len(blocks), -1), compute_uv=False)
         rank = int(np.sum(svals > rtol * svals[0])) if svals[0] > 0 else 0
         if rank == Db * Db:
             return k

@@ -64,10 +64,12 @@ def build_state_vector(
         L = np.zeros(Db, dtype=complex)
         L[0] = 1.0
     L = np.asarray(L, dtype=complex).reshape(Db)
-    tensors = point.site_tensors()
-    amps = L.copy()
+    # one GEMM per site: rows (..., b) times the columns (b, (i, a)) of every A[i]
+    columns = point.site_tensors().reshape(d * Db, Db).T
+    amps = L
     for _ in range(n):
-        amps = np.einsum("...b,iab->...ia", amps, tensors)
+        amps = amps.reshape(-1, Db) @ columns
+    amps = amps.reshape((d,) * n + (Db,))
     if mode is OracleMode.PHI:
         if R is None:
             raise ValidationError("PHI mode needs a right boundary vector")
@@ -154,9 +156,8 @@ def simulate_measurements(
     rows = amps.reshape(-1, point.Db)
     q = np.einsum("sb,sb->s", rows, rows.conj()).real
     if reverse_byproduct:
-        sig = resource.byproducts
-        rows6 = rows.reshape(-1, point.D, point.Dj)
-        rows = np.einsum("sba,sbj->saj", sig.conj(), rows6).reshape(-1, point.Db)
+        sig_dag = resource.byproducts.conj().swapaxes(-1, -2)
+        rows = (sig_dag @ rows.reshape(-1, point.D, point.Dj)).reshape(-1, point.Db)
     joint = None
     eigvals = None
     if boundary_observable is not None:

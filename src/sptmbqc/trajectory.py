@@ -289,7 +289,7 @@ class TrajectoryEngine:
             chosen[:, t] = probs[rows, s]
             totals[:, t] = probs.sum(axis=1)
             tau = site.ops[s] @ tau @ site.dag[s]
-            tau = tau / np.trace(tau, axis1=1, axis2=2).real[:, None, None]
+            tau = tau / np.einsum("tii->t", tau).real[:, None, None]
             c = self.byproducts[s]
             byprod = (byprod @ c) if site.adapted else (c @ byprod)
             if not self.tilde:

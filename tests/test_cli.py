@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +13,18 @@ from sptmbqc import cli, gates, measurement, model
 from sptmbqc.errors import VanishingProbability
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def run(argv):
     return cli.main(argv)
+
+
+@pytest.fixture(autouse=True)
+def no_kept_model():
+    # tests here monkeypatch engine functions: no test may start from a model
+    # (and its Analysis) that an earlier test left in the CLI
+    cli._last_model = None
 
 
 @pytest.fixture(scope="module")
@@ -293,14 +305,87 @@ def test_vanishing_probability_exit_code(tmp_path, model_file, monkeypatch):
                 "--trajectories", "2", "--out", str(tmp_path)]) == 3
 
 
-def test_run_nu_d3_needs_qubit(tmp_path, capsys):
-    # the self-test's Pauli probe axes exist only for D=2: a D=3 model is a
-    # numerical failure (exit 3), after the exact export has been written
+def test_run_nu_d3(tmp_path):
+    # the self-test reads nu_10 from one tilted site, which needs no qubit-only
+    # probe axis: a D=3 model runs as a D=2 one does
     mdir = tmp_path / "m"
     assert run(["model", "perturb", "--D", "3", "--strength", "0.2", "--junk-dim", "2",
                 "--seed", "11", "--out", str(mdir)]) == 0
     out = tmp_path / "nu"
-    assert run(["run", "nu", "--model", str(mdir / "model_perturbed.json"), "--samples", "200",
-                "--out", str(out)]) == 3
-    assert "D=2" in capsys.readouterr().err
+    assert run(["run", "nu", "--model", str(mdir / "model_perturbed.json"), "--samples", "2000",
+                "--seed", "3", "--out", str(out)]) == 0
     assert len(json.loads((out / "nu_exact.json").read_text())["nu"]) == 9
+    doc = json.loads((out / "nu_selftest.json").read_text())
+    assert len(doc["diag_estimate"]) == 9 and len(doc["pair_frequencies"]) == 4
+    assert abs(doc["abs_nu10_estimate"] - doc["abs_nu10_truth"]) <= 5 * doc["abs_nu10_sigma"]
+    assert abs(measurement.wrap_angle(doc["delta_estimate"] - doc["delta_truth"])) <= 5 * doc["delta_sigma"]
+
+
+def readme_commands() -> list[list[str]]:
+    """The sptmbqc commands of the README's command-line block, as argv lists."""
+    block = README.read_text().split("## Command-line interface")[1].split("```sh")[1].split("```")[0]
+    commands, model_path = [], None
+    for line in block.replace("\\\n", " ").splitlines():
+        line = line.split("#")[0].strip()
+        if line.startswith("M="):
+            model_path = line[2:]
+        elif line.startswith("sptmbqc "):
+            commands.append([model_path if a == "$M" else a for a in shlex.split(line)[1:]])
+    return commands
+
+
+def test_readme_commands_same_with_kept_model(tmp_path, monkeypatch):
+    # the README commands in one process give the same files whether each run
+    # command reuses the model the last one read or reads and analyzes it anew
+    loads = []
+    load_model = model.load_model
+
+    def counted_load(*args, **kwargs):
+        loads.append(args)
+        return load_model(*args, **kwargs)
+
+    monkeypatch.setattr(model, "load_model", counted_load)
+    commands = readme_commands()
+    assert len(commands) == 10
+    trees = {}
+    for kept in (True, False):
+        root = tmp_path / ("kept" if kept else "anew")
+        root.mkdir()
+        monkeypatch.chdir(root)
+        loads.clear()
+        for argv in commands:
+            if not kept:
+                cli._last_model = None
+            assert run(argv) == 0, argv
+        # model validate loads once; the seven run commands once when the model is kept
+        assert len(loads) == (2 if kept else 8)
+        trees[kept] = {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+    assert len(trees[True]) > 20
+    assert trees[True] == trees[False]
+
+
+def test_rewritten_model_is_reloaded(tmp_path):
+    path = tmp_path / "m.json"
+    exact = []
+    for seed in (7, 8):
+        model.save_model(model.perturb_point(model.build_cluster_point(2), 0.3, 2, seed), path)
+        out = tmp_path / f"nu{seed}"
+        assert run(["run", "nu", "--model", str(path), "--exact-only", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["model_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        exact.append((out / "nu_exact.json").read_bytes())
+    cli._last_model = None
+    assert run(["run", "nu", "--model", str(path), "--exact-only", "--out", str(tmp_path / "anew")]) == 0
+    assert exact[0] != exact[1] == (tmp_path / "anew" / "nu_exact.json").read_bytes()
+
+
+def test_invalid_model_leaves_nothing_kept(tmp_path, model_file, capsys):
+    assert run(["run", "nu", "--model", str(model_file), "--exact-only", "--out", str(tmp_path / "ok")]) == 0
+    assert cli._last_model is not None
+    doc = json.loads(model_file.read_text())
+    doc["C"][0][0][0] = [3.0, 0.0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["run", "nu", "--model", str(bad), "--exact-only", "--out", str(tmp_path / "bad")]) == 2
+    assert "not unitary" in capsys.readouterr().err
+    assert cli._last_model is None

@@ -507,65 +507,31 @@ def test_estimate_nu_small(perturbed_nu, perturbed_an):
     assert abs(est.abs_nu10 - est.abs_nu10_truth) / est.abs_nu10_truth < 0.1
 
 
-@pytest.mark.parametrize("a, psi", [(1.2, 0.3), (0.45, 2.2), (1.5, -1.1), (2.0, -2.5),
-                                    (3.0, 1.4), (2.4, -1.1)])
-def test_fit_flip_curve_recovers_noise_free(a, psi):
-    # noise-free flips of the nu self-test model at its four probe angles, with
-    # a = 2 alpha |nu_10| in the self-test's range (alpha = 3, |nu_10| ~ 1/4)
-    # and beyond it, where a single start at a0 = 1.2 finds a local minimum
-    betas = np.array([0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4])
-    flips = np.sin(a * np.sin(betas + psi)) ** 2
-    a_hat, psi_hat, jac = meas.fit_flip_curve(betas, flips, 1.2)
-    assert abs(a_hat - a) < 1e-10
-    off = (psi_hat - psi) % np.pi
-    assert min(off, np.pi - off) < 1e-10
-    assert jac.shape == (4, 2)
+class _MeanDraws:
+    """Stands in for a Generator whose multinomial draws return their expected counts."""
+
+    @staticmethod
+    def multinomial(n, pvals):
+        return n * np.asarray(pvals)
 
 
-def _sequential_flip_fit(betas, flips, a0):
-    """fit_flip_curve as one damped Gauss-Newton loop per start, run one start after another."""
-    def residuals(x):
-        a, psi = x
-        s, c = np.sin(betas + psi), np.cos(betas + psi)
-        slope = np.sin(2 * a * s)
-        return np.sin(a * s) ** 2 - flips, np.column_stack([slope * s, slope * a * c])
-
-    def levenberg(x):
-        r, jac = residuals(x)
-        cost, lam = 0.5 * float(r @ r), 1e-3
-        for _ in range(200):
-            step = np.linalg.solve(jac.T @ jac + lam * np.eye(2), -jac.T @ r)
-            r_new, jac_new = residuals(x + step)
-            cost_new = 0.5 * float(r_new @ r_new)
-            if cost_new < cost:
-                x, r, jac, cost, lam = x + step, r_new, jac_new, cost_new, max(lam * 0.1, 1e-12)
-                if np.linalg.norm(step) <= 1e-15 * (1.0 + np.linalg.norm(x)):
-                    break
-            else:
-                lam *= 10.0
-                if lam > 1e16:
-                    break
-        return x, cost, jac
-
-    (a, psi), _, jac = min((levenberg(np.array([k * a0, psi0]))
-                            for k in (1, 2, 3) for psi0 in np.linspace(-np.pi, np.pi, 9)),
-                           key=lambda fit: fit[1])
-    return abs(a), psi % np.pi, jac
+@pytest.mark.parametrize("fixture", ["perturbed", "perturbed3"])
+def test_estimate_nu_exact_without_noise(fixture, request):
+    # with the expected counts in place of draws, the linear read-out is exact
+    an = channel.analyze(request.getfixturevalue(fixture))
+    est = meas.estimate_nu(an, 1000, _MeanDraws())
+    np.testing.assert_allclose(est.diag, est.diag_truth, rtol=0, atol=1e-14)
+    assert abs(est.abs_nu10 - est.abs_nu10_truth) < 1e-12
+    assert abs(meas.wrap_angle(est.delta - est.delta_truth)) < 1e-12
 
 
-def test_fit_flip_curve_matches_sequential_fits():
-    # all 27 starts iterate as one array; each keeps the damping and stop rule
-    # of its own sequential run, so the winning fit is the same
-    betas = np.array([0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4])
-    rng = np.random.default_rng(17)
-    for a, psi in [(1.2, 0.3), (0.45, 2.2), (1.4, 0.3), (2.4, -1.1), (3.0, 1.4), (0.05, -0.7)]:
-        clean = np.sin(a * np.sin(betas + psi)) ** 2
-        for flips in (clean, rng.binomial(2500, clean) / 2500):
-            got = meas.fit_flip_curve(betas, flips, 1.2)
-            ref = _sequential_flip_fit(betas, flips, 1.2)
-            assert abs(got[0] - ref[0]) <= 1e-12
-            assert abs(got[1] - ref[1]) <= 1e-12
-            np.testing.assert_allclose(got[2], ref[2], rtol=0, atol=1e-12)
+@pytest.mark.parametrize("fixture", ["perturbed", "perturbed3"])
+def test_estimate_nu_delta_within_5_sigma(fixture, request):
+    an = channel.analyze(request.getfixturevalue(fixture))
+    est = meas.estimate_nu(an, 20_000, np.random.default_rng(21))
+    assert abs(meas.wrap_angle(est.delta - est.delta_truth)) <= 5 * est.delta_sigma
+    assert abs(est.abs_nu10 - est.abs_nu10_truth) <= 5 * est.abs_nu10_sigma
+    assert est.pair_frequencies.shape == (4, 2)
 
 
 def test_tuned_measurement_matches_eigenphase(perturbed, perturbed_an):
